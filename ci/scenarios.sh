@@ -113,7 +113,7 @@ scenario_batch() {
 }
 
 # The caching layer end to end (ARCHITECTURE.md §8). First an audited serve
-# under the non-stationary drift workload with on-path ProbCache admission:
+# under the non-stationary drift workload with on-path LCE admission:
 # the greps assert the cache actually carried traffic (hits), cycled under
 # the residual Eq. 6 budgets (insertions and evictions), and that every
 # cache-served latency survived the Eq. 7/8 re-derivation (zero audit
@@ -124,7 +124,7 @@ scenario_batch() {
 scenario_cache() {
   idde serve \
     --servers 20 --users 100 --data 6 --seed 7 --ticks 150 --audit 50 \
-    --cache probcache --workload drift --csv "$out/cache.csv"
+    --cache lce --workload drift --csv "$out/cache.csv"
   grep -E '^cache_hits,[1-9]' "$out/cache.csv"
   grep -E '^cache_insertions,[1-9]' "$out/cache.csv"
   grep -E '^cache_evictions,[1-9]' "$out/cache.csv"

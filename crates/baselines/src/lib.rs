@@ -31,8 +31,10 @@ pub use dupg::DupG;
 pub use iddeip::IddeIp;
 pub use saa::Saa;
 
-/// A complete approach for formulating IDDE strategies.
-pub trait DeliveryStrategy {
+/// A complete approach for formulating IDDE strategies: a whole-problem
+/// solver producing both the allocation and the placement (unrelated to
+/// `idde_dist::DeliveryStrategy`, which plans how bulk installs travel).
+pub trait Approach {
     /// Display name used in reports and figures.
     fn name(&self) -> &'static str;
 
@@ -49,7 +51,7 @@ pub struct IddeGStrategy {
     pub inner: IddeG,
 }
 
-impl DeliveryStrategy for IddeGStrategy {
+impl Approach for IddeGStrategy {
     fn name(&self) -> &'static str {
         "IDDE-G"
     }
@@ -63,7 +65,7 @@ impl DeliveryStrategy for IddeGStrategy {
 
 /// The full §4.1 panel in the paper's presentation order, with the given
 /// IDDE-IP budget (the paper limits CP Optimizer to 100 s; scale to taste).
-pub fn standard_panel(iddeip_budget: Duration) -> Vec<Box<dyn DeliveryStrategy + Send + Sync>> {
+pub fn standard_panel(iddeip_budget: Duration) -> Vec<Box<dyn Approach + Send + Sync>> {
     vec![
         Box::new(IddeIp::with_budget(iddeip_budget)),
         Box::new(IddeGStrategy::default()),

@@ -526,16 +526,15 @@ fn ingest_state_fingerprint(engine: &Engine) -> u64 {
 /// The `cache_drift` case: a request-heavy non-stationary serve (Zipf drift,
 /// hot-set rotation, diurnal waves, flash crowds) on a 2000-server /
 /// 5000-user geography, repeated once per caching policy. The `threads`
-/// column records the *policy index* over `[off, lce, lcd, probcache]` and
-/// every point runs single-threaded, so the medians compare the policies'
-/// serving cost head-to-head. The fingerprint deliberately hashes only the
-/// state the cache must never perturb — the ingest-invariant state plus the
-/// solver's allocation and placement profiles — so the standard
+/// column records the *policy index* over `[off, lce]` and every point runs
+/// single-threaded, so the medians compare the serving cost with and
+/// without the cache head-to-head. The fingerprint deliberately hashes only
+/// the state the cache must never perturb — the ingest-invariant state plus
+/// the solver's allocation and placement profiles — so the standard
 /// `deterministic_across_threads` gate becomes the on-path contract observed
-/// at scale: every policy, including `off`, lands on the identical solver
-/// trajectory. Per-policy hit and latency figures are embedded in the
-/// workload string (they are seeded-deterministic, so regeneration is
-/// stable).
+/// at scale: LCE and `off` land on the identical solver trajectory.
+/// Per-policy hit and latency figures are embedded in the workload string
+/// (they are seeded-deterministic, so regeneration is stable).
 fn cache_drift_case(cfg: &LedgerConfig) -> BenchCase {
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x000c_ac4e);
     let gen = SyntheticEua::scaled(2_000, 5_000).expect("bench workloads use positive scales");
@@ -557,7 +556,7 @@ fn cache_drift_case(cfg: &LedgerConfig) -> BenchCase {
         ..WorkloadConfig::default()
     };
 
-    let policies = [PolicyKind::Off, PolicyKind::Lce, PolicyKind::Lcd, PolicyKind::ProbCache];
+    let policies = [PolicyKind::Off, PolicyKind::Lce];
     let mut points = Vec::with_capacity(policies.len());
     let mut summary = String::new();
     idde_par::set_threads(1);
@@ -592,8 +591,8 @@ fn cache_drift_case(cfg: &LedgerConfig) -> BenchCase {
         name: "cache_drift".into(),
         workload: format!(
             "SyntheticEua::scaled 2000 servers / 5000 users / 8 items; request-heavy drift \
-             workload, 10 ticks; threads column = policy index [0 off, 1 lce, 2 lcd, 3 \
-             probcache], all points single-threaded{summary}"
+             workload, 10 ticks; threads column = policy index [0 off, 1 lce], all points \
+             single-threaded{summary}"
         ),
         points,
     }
@@ -1093,10 +1092,10 @@ mod tests {
         );
     }
 
-    /// The cache_drift contract at small scale: every caching policy lands
-    /// on the cache-off solver-state fingerprint (the full-scale ledger case
-    /// observes the same equality at 2000 servers), and at least one cached
-    /// policy actually serves traffic from its store.
+    /// The cache_drift contract at small scale: LCE lands on the cache-off
+    /// solver-state fingerprint (the full-scale ledger case observes the
+    /// same equality at 2000 servers) and actually serves traffic from its
+    /// store.
     #[test]
     fn cache_drift_fingerprints_are_policy_invariant() {
         let mut rng = ChaCha8Rng::seed_from_u64(23);
@@ -1110,7 +1109,7 @@ mod tests {
         };
         let mut digests = Vec::new();
         let mut hits = Vec::new();
-        for policy in [PolicyKind::Off, PolicyKind::Lce, PolicyKind::Lcd, PolicyKind::ProbCache] {
+        for policy in [PolicyKind::Off, PolicyKind::Lce] {
             let config = EngineConfig {
                 checkpoint_interval: 0,
                 cache: CacheConfig { policy, ..CacheConfig::default() },
@@ -1122,12 +1121,9 @@ mod tests {
             digests.push(solver_state_fingerprint(&engine));
             hits.push(engine.metrics().cache.map_or(0, |c| c.hits));
         }
-        assert!(
-            digests.windows(2).all(|w| w[0] == w[1]),
-            "solver-state digests diverged across caching policies: {digests:x?}"
-        );
+        assert_eq!(digests[0], digests[1], "LCE perturbed the solver-state digest");
         assert_eq!(hits[0], 0, "cache-off must record no cache traffic");
-        assert!(hits.iter().skip(1).any(|&h| h > 0), "no caching policy recorded a hit ({hits:?})");
+        assert!(hits[1] > 0, "LCE recorded no hit");
     }
 
     /// The dist_bulk contract at small scale: both delivery strategies land

@@ -10,9 +10,6 @@
 //!    the cache must never perturb the game.
 //! 3. **No stale paths** — no cached replica survives on a downed server,
 //!    where it would win Eq. 8 over a path that no longer exists.
-//! 4. **Bloom oracle** — every exactly-cached item probes positive in its
-//!    server's summary (no false negatives), keeping the collaborative
-//!    admission's one-sided-error contract honest.
 //!
 //! The Eq. 7/8 latency re-derivation on cache *hits* happens inline in the
 //! engine's serve path (it needs the per-request context); its counter is
@@ -56,10 +53,6 @@ pub fn audit_cache(
             if is_down {
                 report.violations.push(Violation::CacheStaleReplica { server: id, data });
             }
-            report.checks += 1;
-            if !layer.bloom(id).contains(data.0) {
-                report.violations.push(Violation::CacheSummaryFalseNegative { server: id, data });
-            }
         }
     }
     report
@@ -68,40 +61,24 @@ pub fn audit_cache(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::{CacheConfig, CacheLayer, Observation};
-    use crate::policy::PolicyKind;
+    use crate::layer::{CacheConfig, CacheLayer, Observation, PolicyKind};
     use idde_model::testkit;
-    use idde_model::units::{MegaBytes, MegaBytesPerSec};
+    use idde_model::units::MegaBytes;
     use idde_model::DataId;
-    use idde_net::{EdgeGraph, Link, Topology};
 
-    fn fixture() -> (Scenario, Topology, CacheLayer) {
-        let scenario = testkit::fig2_example();
-        let graph = EdgeGraph::new(
-            4,
-            vec![
-                Link { a: ServerId(0), b: ServerId(1), speed: MegaBytesPerSec(3000.0) },
-                Link { a: ServerId(1), b: ServerId(2), speed: MegaBytesPerSec(3000.0) },
-                Link { a: ServerId(2), b: ServerId(3), speed: MegaBytesPerSec(3000.0) },
-            ],
-        );
-        let topology = Topology::new(graph, MegaBytesPerSec(600.0));
+    fn fixture() -> (Scenario, CacheLayer) {
         let config = CacheConfig { policy: PolicyKind::Lce, ..CacheConfig::default() };
-        (scenario, topology, CacheLayer::new(config, 4, 4).unwrap())
+        (testkit::fig2_example(), CacheLayer::new(config, 4, 4).unwrap())
     }
 
     #[test]
     fn live_layer_audits_clean() {
-        let (scenario, topology, mut cache) = fixture();
+        let (scenario, mut cache) = fixture();
         let solver = Placement::empty(4, 4);
         for (s, d) in [(0u32, 0u32), (1, 1), (2, 0), (0, 1)] {
-            let obs = Observation {
-                data: DataId(d),
-                target: ServerId(s),
-                source: None,
-                served_from_cache: false,
-            };
-            cache.observe(&scenario, &topology, &solver, &obs);
+            let obs =
+                Observation { data: DataId(d), target: ServerId(s), served_from_cache: false };
+            cache.observe(&scenario, &solver, &obs);
         }
         let report = audit_cache(&scenario, &solver, &cache, &[]);
         assert!(report.is_clean(), "violations: {report}");
@@ -110,15 +87,10 @@ mod tests {
 
     #[test]
     fn stale_replica_on_downed_server_is_flagged() {
-        let (scenario, topology, mut cache) = fixture();
+        let (scenario, mut cache) = fixture();
         let solver = Placement::empty(4, 4);
-        let obs = Observation {
-            data: DataId(0),
-            target: ServerId(1),
-            source: None,
-            served_from_cache: false,
-        };
-        cache.observe(&scenario, &topology, &solver, &obs);
+        let obs = Observation { data: DataId(0), target: ServerId(1), served_from_cache: false };
+        cache.observe(&scenario, &solver, &obs);
         // Server 1 goes down but the layer is (wrongly) not purged.
         let report = audit_cache(&scenario, &solver, &cache, &[ServerId(1)]);
         assert!(report
@@ -132,15 +104,10 @@ mod tests {
 
     #[test]
     fn duplicate_replica_is_flagged_until_reconciled() {
-        let (scenario, topology, mut cache) = fixture();
+        let (scenario, mut cache) = fixture();
         let mut solver = Placement::empty(4, 4);
-        let obs = Observation {
-            data: DataId(0),
-            target: ServerId(0),
-            source: None,
-            served_from_cache: false,
-        };
-        cache.observe(&scenario, &topology, &solver, &obs);
+        let obs = Observation { data: DataId(0), target: ServerId(0), served_from_cache: false };
+        cache.observe(&scenario, &solver, &obs);
         assert!(solver.place(ServerId(0), DataId(0), MegaBytes(60.0)));
         let report = audit_cache(&scenario, &solver, &cache, &[]);
         assert!(report

@@ -5,24 +5,59 @@
 //! disjoint from the solver's Eq. 17 placement. Cached replicas occupy
 //! only the **residual** Eq. 6 budget `A_i − used_i(σ)` of each server, so
 //! the game the solver plays is untouched: allocation, placement and every
-//! derived quantity are bit-identical whether the cache runs LCE,
-//! ProbCache or nothing at all. The serving loop simply takes
+//! derived quantity are bit-identical whether the cache runs LCE or nothing
+//! at all. The serving loop simply takes
 //! `min(solver delivery, cached delivery, cloud)` per request.
 //!
-//! Determinism contract (pinned by proptests here and in the engine):
+//! Admission is leave-copy-everywhere (LCE): every served request installs
+//! a replica at the user's serving server unless that server already holds
+//! the item. Determinism contract (pinned by proptests here and in the
+//! engine):
 //!
-//! * admission randomness comes from one `ChaCha8Rng` seeded by
-//!   [`CacheConfig::seed`], consumed in event order;
+//! * admission is a pure function of the observation stream — no RNG;
 //! * victim selection is `min by (popularity, data id)` — no iteration
 //!   order, hash map or thread count leaks in;
 //! * every eviction is appended to an ordered log, so two runs can be
 //!   compared replica-by-replica, not just by aggregate counters.
 
-use idde_model::{DataId, Placement, Scenario, ServerId};
-use idde_net::{best_path, PathModel, Topology};
+use std::fmt;
+use std::str::FromStr;
 
-use crate::bloom::BloomSummary;
-use crate::policy::{CachePolicy, PolicyImpl, PolicyKind, RequestContext};
+use idde_model::{DataId, Placement, Scenario, ServerId};
+use idde_net::Topology;
+
+/// The policy selector, as parsed from `--cache POLICY`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum PolicyKind {
+    /// Caching disabled — the engine's serve path is bit-identical to a
+    /// build without the cache layer.
+    #[default]
+    Off,
+    /// Leave copy everywhere: admit at the serving server on every request
+    /// it cannot already serve locally.
+    Lce,
+}
+
+impl FromStr for PolicyKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s.to_ascii_lowercase().as_str() {
+            "off" | "none" => Ok(Self::Off),
+            "lce" => Ok(Self::Lce),
+            other => Err(format!("unknown cache policy {other:?} (try off|lce)")),
+        }
+    }
+}
+
+impl fmt::Display for PolicyKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Self::Off => "off",
+            Self::Lce => "lce",
+        })
+    }
+}
 
 /// Tuning knobs for the caching layer. `Copy` so it can ride inside the
 /// engine's (also `Copy`) configuration.
@@ -30,16 +65,9 @@ use crate::policy::{CachePolicy, PolicyImpl, PolicyKind, RequestContext};
 pub struct CacheConfig {
     /// Which admission policy runs (`Off` disables the layer entirely).
     pub policy: PolicyKind,
-    /// Seed of the layer's private RNG (only ProbCache draws from it).
+    /// Seed recorded with the configuration. LCE admission is
+    /// deterministic and never reads it.
     pub seed: u64,
-    /// Bits per per-server Bloom replica summary.
-    pub bloom_bits: usize,
-    /// Probes per item in the Bloom summaries.
-    pub bloom_hashes: u32,
-    /// ProbCache's base admission probability `p` (scaled by path length).
-    pub admit_probability: f64,
-    /// Collaborative admission's popularity threshold.
-    pub collab_threshold: u64,
     /// Popularity counters are halved every this many observations, so the
     /// layer tracks the *recent* hot set under a drifting workload.
     pub decay_every: u64,
@@ -47,15 +75,7 @@ pub struct CacheConfig {
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        Self {
-            policy: PolicyKind::Off,
-            seed: 0x1dde_cac4e,
-            bloom_bits: 256,
-            bloom_hashes: 3,
-            admit_probability: 0.3,
-            collab_threshold: 3,
-            decay_every: 512,
-        }
+        Self { policy: PolicyKind::Off, seed: 0x1dde_cac4e, decay_every: 512 }
     }
 }
 
@@ -66,7 +86,7 @@ pub struct CacheCounters {
     pub hits: u64,
     /// Requests served from the solver placement or the cloud instead.
     pub misses: u64,
-    /// Opportunistic replicas installed by the admission policy.
+    /// Opportunistic replicas installed by LCE admission.
     pub insertions: u64,
     /// Victims evicted to make room under the residual Eq. 6 budget.
     pub evictions: u64,
@@ -76,7 +96,7 @@ pub struct CacheCounters {
     /// (or re-placed the same item in the solver profile).
     pub reconcile_evictions: u64,
     /// Admissions rejected up front (item larger than the residual budget,
-    /// or no admissible site).
+    /// or a serving server this layer may not admit on).
     pub rejected: u64,
     /// Cache hits whose latency was re-derived from Eq. 7/8 first
     /// principles by the audit layer.
@@ -84,7 +104,7 @@ pub struct CacheCounters {
 }
 
 impl CacheCounters {
-    /// Every eviction of any cause (policy, outage, reconcile).
+    /// Every eviction of any cause (budget, outage, reconcile).
     pub fn total_evictions(&self) -> u64 {
         self.evictions + self.outage_evictions + self.reconcile_evictions
     }
@@ -109,31 +129,22 @@ pub struct Observation {
     pub data: DataId,
     /// The serving edge server of the requesting user.
     pub target: ServerId,
-    /// The edge origin that won the Eq. 8 minimum (solver replica *or*
-    /// cached replica); `None` when the cloud served the request.
-    pub source: Option<ServerId>,
     /// Whether the winning origin was a cached replica.
     pub served_from_cache: bool,
 }
 
-/// The online caching layer: cache store, popularity tracking, Bloom
-/// summaries and the admission/eviction flow.
+/// The online caching layer: cache store, popularity tracking and the
+/// admission/eviction flow.
 #[derive(Clone, Debug)]
 pub struct CacheLayer {
-    config: CacheConfig,
-    policy: PolicyImpl,
+    /// [`CacheConfig::decay_every`].
+    decay_every: u64,
     /// Cached replicas — disjoint from the solver placement by invariant.
     store: Placement,
     /// Decayed per-item request counts.
     popularity: Vec<u64>,
     /// Observations since construction (drives the popularity decay).
     observations: u64,
-    /// Per-server Bloom summaries over the **cache store** only (the
-    /// solver placement is exact-checked; see [`Self::likely_holds`]).
-    blooms: Vec<BloomSummary>,
-    /// Foreign summaries installed by the shard router's halo exchange;
-    /// these cover solver ∪ cache of the owning shard.
-    foreign: Vec<Option<BloomSummary>>,
     /// Servers this layer may install replicas on (all, except in shard
     /// mode where each shard admits only on owned servers).
     admissible: Vec<bool>,
@@ -145,45 +156,24 @@ pub struct CacheLayer {
 impl CacheLayer {
     /// Builds the layer, or `None` when the policy is [`PolicyKind::Off`].
     pub fn new(config: CacheConfig, num_servers: usize, num_data: usize) -> Option<Self> {
-        let policy = PolicyImpl::new(
-            config.policy,
-            config.admit_probability,
-            config.collab_threshold,
-            config.seed,
-        )?;
+        if config.policy == PolicyKind::Off {
+            return None;
+        }
         Some(Self {
-            config,
-            policy,
+            decay_every: config.decay_every,
             store: Placement::empty(num_servers, num_data),
             popularity: vec![0; num_data],
             observations: 0,
-            blooms: vec![BloomSummary::new(config.bloom_bits, config.bloom_hashes); num_servers],
-            foreign: vec![None; num_servers],
             admissible: vec![true; num_servers],
             eviction_log: Vec::new(),
             counters: CacheCounters::default(),
         })
     }
 
-    /// The layer's configuration.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
-    }
-
-    /// The active policy's stable name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// The cache store (cached replicas only; disjoint from the solver
     /// placement).
     pub fn store(&self) -> &Placement {
         &self.store
-    }
-
-    /// The per-server Bloom summary over the cache store.
-    pub fn bloom(&self, server: ServerId) -> &BloomSummary {
-        &self.blooms[server.index()]
     }
 
     /// Aggregate counters.
@@ -202,11 +192,6 @@ impl CacheLayer {
         &self.eviction_log
     }
 
-    /// Decayed popularity of one item.
-    pub fn popularity(&self, data: DataId) -> u64 {
-        self.popularity[data.index()]
-    }
-
     /// Restricts admission to `owned` servers (shard mode: each shard's
     /// layer installs replicas only on servers it owns).
     pub fn restrict_admission(&mut self, owned: &[ServerId]) {
@@ -216,79 +201,35 @@ impl CacheLayer {
         }
     }
 
-    /// Installs a foreign Bloom summary for `server` (shard halo exchange).
-    /// Foreign summaries cover the owning shard's solver ∪ cache replica
-    /// sets and take precedence over local knowledge in
-    /// [`Self::likely_holds`].
-    pub fn install_foreign_summary(&mut self, server: ServerId, summary: BloomSummary) {
-        self.foreign[server.index()] = Some(summary);
-    }
-
-    /// Exports `server`'s replica summary (solver ∪ cache) for the halo
-    /// exchange. Built fresh so it reflects the post-repair state.
-    pub fn export_summary(&self, server: ServerId, solver: &Placement) -> BloomSummary {
-        let mut summary = BloomSummary::new(self.config.bloom_bits, self.config.bloom_hashes);
-        for data in solver.data_on(server) {
-            summary.insert(data.0);
-        }
-        for data in self.store.data_on(server) {
-            summary.insert(data.0);
-        }
-        summary
-    }
-
-    /// O(1) presence check: does `server` *likely* hold `data`? Uses the
-    /// foreign summary when one is installed (halo servers in shard mode),
-    /// otherwise the exact solver placement plus the local cache Bloom.
-    /// Either way a `false` answer is a true negative (Bloom filters have
-    /// no false negatives) as long as summaries are refreshed on change.
-    pub fn likely_holds(&self, server: ServerId, data: DataId, solver: &Placement) -> bool {
-        match &self.foreign[server.index()] {
-            Some(summary) => summary.contains(data.0),
-            None => solver.stores(server, data) || self.blooms[server.index()].contains(data.0),
-        }
-    }
-
-    /// The best *cached* origin for `data` at `target`: minimum edge
-    /// latency over the cache store's replicas, ties broken toward the
-    /// smallest server id (ascending iteration + strict `<`). `None` when
-    /// no cached replica is reachable.
+    /// The Eq. 8 latency (ms) of the best *cached* origin for `data` at
+    /// `target`: the minimum edge latency over the cache store's reachable
+    /// replicas, or `None` when no cached replica is reachable.
     pub fn serve_candidate(
         &self,
         topology: &Topology,
         data: DataId,
         size: idde_model::units::MegaBytes,
         target: ServerId,
-    ) -> Option<(f64, ServerId)> {
-        let mut best: Option<(f64, ServerId)> = None;
-        for origin in self.store.servers_with(data) {
-            if let Some(latency) = topology.try_edge_latency(size, origin, target) {
-                if best.is_none_or(|(b, _)| latency.value() < b) {
-                    best = Some((latency.value(), origin));
-                }
-            }
-        }
-        best
+    ) -> Option<f64> {
+        self.store
+            .servers_with(data)
+            .filter_map(|origin| topology.try_edge_latency(size, origin, target))
+            .map(|latency| latency.value())
+            .reduce(f64::min)
     }
 
-    /// Feeds one served request through popularity tracking and the
-    /// admission policy, installing (and evicting) cached replicas as the
-    /// policy decides. Pure function of `(seed, event order)` — nothing
-    /// here depends on the worker count.
-    pub fn observe(
-        &mut self,
-        scenario: &Scenario,
-        topology: &Topology,
-        solver: &Placement,
-        obs: &Observation,
-    ) {
+    /// Feeds one served request through popularity tracking and LCE
+    /// admission: a replica is installed at the serving server (evicting
+    /// as needed) unless it already holds the item. Pure function of the
+    /// event order — nothing here depends on the worker count.
+    pub fn observe(&mut self, scenario: &Scenario, solver: &Placement, obs: &Observation) {
         // Popularity bump + periodic halving decay, so the counters track
         // the recent hot set rather than the all-time one.
         self.popularity[obs.data.index()] += 1;
         self.observations += 1;
         // `% decay_every` rather than `u64::is_multiple_of` — MSRV 1.85.
         #[allow(clippy::manual_is_multiple_of)]
-        if self.observations % self.config.decay_every == 0 {
+        if self.observations % self.decay_every == 0 {
             self.popularity.iter_mut().for_each(|p| *p >>= 1);
         }
         if obs.served_from_cache {
@@ -297,53 +238,21 @@ impl CacheLayer {
             self.counters.misses += 1;
         }
 
-        let already_at_target =
-            solver.stores(obs.target, obs.data) || self.store.stores(obs.target, obs.data);
-
-        // The delivery path is only materialised for the policies that
-        // read it (LCD walks it, ProbCache weights by its length).
-        let path: Vec<ServerId> = match (&self.policy, obs.source) {
-            (PolicyImpl::Lcd(_) | PolicyImpl::Prob(_), Some(origin)) if origin != obs.target => {
-                let minimax = topology.path_model() == PathModel::Pipelined;
-                best_path(topology.graph(), origin, obs.target, minimax).unwrap_or_default()
-            }
-            _ => Vec::new(),
-        };
-
-        // Neighbour presence only matters to collaborative admission.
-        let neighbour_holds = matches!(self.policy, PolicyImpl::Collab(_))
-            && topology
-                .graph()
-                .neighbors(obs.target)
-                .iter()
-                .any(|&(n, _)| self.likely_holds(ServerId(n), obs.data, solver));
-
-        let ctx = RequestContext {
-            data: obs.data,
-            target: obs.target,
-            source: obs.source,
-            path: &path,
-            popularity: self.popularity[obs.data.index()],
-            already_at_target,
-            neighbour_holds,
-        };
-        let Some(site) = self.policy.admit(&ctx) else { return };
-
-        // Shard mode: fall back to the serving server when the policy
-        // chose a site this layer does not own; skip if neither is ours.
-        let site = if self.admissible[site.index()] {
-            site
-        } else if self.admissible[obs.target.index()] {
-            obs.target
-        } else {
+        // A replica already at the target (solver or cache) makes the
+        // install a no-op, and would break store/placement disjointness.
+        if solver.stores(obs.target, obs.data) || self.store.stores(obs.target, obs.data) {
+            return;
+        }
+        if !self.admissible[obs.target.index()] {
             self.counters.rejected += 1;
             return;
-        };
-        self.try_install(scenario, solver, site, obs.data);
+        }
+        self.try_install(scenario, solver, obs.target, obs.data);
     }
 
-    /// Installs `data` on `site` under the residual Eq. 6 budget, evicting
-    /// least-popular victims (ties to the smallest data id) as needed.
+    /// Installs `data` (absent from `site`) on `site` under the residual
+    /// Eq. 6 budget, evicting least-popular victims (ties to the smallest
+    /// data id) as needed.
     fn try_install(
         &mut self,
         scenario: &Scenario,
@@ -351,11 +260,6 @@ impl CacheLayer {
         site: ServerId,
         data: DataId,
     ) {
-        // A replica anywhere in the combined profile makes the install a
-        // no-op (and would break store/placement disjointness).
-        if solver.stores(site, data) || self.store.stores(site, data) {
-            return;
-        }
         let size = scenario.data[data.index()].size;
         let residual = scenario.servers[site.index()].storage.value() - solver.used(site).value();
         if size.value() > residual {
@@ -372,27 +276,16 @@ impl CacheLayer {
             self.counters.evictions += 1;
         }
         if self.store.place(site, data, size) {
-            self.blooms[site.index()].insert(data.0);
             self.counters.insertions += 1;
         }
     }
 
-    /// Removes one cached replica and rebuilds the server's summary
-    /// (plain Bloom filters cannot delete). Appends to the eviction log.
+    /// Removes one cached replica and appends it to the eviction log.
     fn evict(&mut self, scenario: &Scenario, server: ServerId, data: DataId) {
         let size = scenario.data[data.index()].size;
         if self.store.remove(server, data, size) {
-            self.rebuild_bloom(server);
             self.eviction_log.push((server, data));
         }
-    }
-
-    fn rebuild_bloom(&mut self, server: ServerId) {
-        let mut summary = BloomSummary::new(self.config.bloom_bits, self.config.bloom_hashes);
-        for data in self.store.data_on(server) {
-            summary.insert(data.0);
-        }
-        self.blooms[server.index()] = summary;
     }
 
     /// Drops every cached replica on a server that went down — a cached
@@ -462,7 +355,16 @@ mod tests {
     }
 
     fn miss_at(target: ServerId, data: DataId) -> Observation {
-        Observation { data, target, source: None, served_from_cache: false }
+        Observation { data, target, served_from_cache: false }
+    }
+
+    #[test]
+    fn kind_round_trips_through_strings() {
+        for kind in [PolicyKind::Off, PolicyKind::Lce] {
+            assert_eq!(kind.to_string().parse::<PolicyKind>().unwrap(), kind);
+        }
+        assert_eq!("NONE".parse::<PolicyKind>().unwrap(), PolicyKind::Off);
+        assert!("weird".parse::<PolicyKind>().is_err());
     }
 
     #[test]
@@ -472,74 +374,69 @@ mod tests {
 
     #[test]
     fn lce_installs_on_miss_within_residual_budget() {
-        let (scenario, topology) = fixture();
+        let (scenario, _) = fixture();
         let solver = Placement::empty(4, 4);
         let mut cache = layer(PolicyKind::Lce, 4, 4);
-        cache.observe(&scenario, &topology, &solver, &miss_at(ServerId(0), DataId(0)));
+        cache.observe(&scenario, &solver, &miss_at(ServerId(0), DataId(0)));
         assert!(cache.store().stores(ServerId(0), DataId(0)));
-        assert!(cache.bloom(ServerId(0)).contains(0));
         assert_eq!(cache.counters().insertions, 1);
         // Second miss for the same item at the same server is a no-op.
-        cache.observe(&scenario, &topology, &solver, &miss_at(ServerId(0), DataId(0)));
+        cache.observe(&scenario, &solver, &miss_at(ServerId(0), DataId(0)));
         assert_eq!(cache.counters().insertions, 1);
     }
 
     #[test]
     fn eviction_picks_least_popular_smallest_id() {
-        let (scenario, topology) = fixture();
+        let (scenario, _) = fixture();
         let solver = Placement::empty(4, 4);
         let mut cache = layer(PolicyKind::Lce, 4, 4);
         let v0 = ServerId(0);
         // Fill server 0: items 0 and 1 (120 MB of 120 MB). Item 1 is
         // requested twice, so item 0 is the least-popular victim.
-        cache.observe(&scenario, &topology, &solver, &miss_at(v0, DataId(0)));
-        cache.observe(&scenario, &topology, &solver, &miss_at(v0, DataId(1)));
-        cache.observe(&scenario, &topology, &solver, &miss_at(v0, DataId(1)));
-        cache.observe(&scenario, &topology, &solver, &miss_at(v0, DataId(2)));
+        cache.observe(&scenario, &solver, &miss_at(v0, DataId(0)));
+        cache.observe(&scenario, &solver, &miss_at(v0, DataId(1)));
+        cache.observe(&scenario, &solver, &miss_at(v0, DataId(1)));
+        cache.observe(&scenario, &solver, &miss_at(v0, DataId(2)));
         assert!(!cache.store().stores(v0, DataId(0)), "least popular item evicted");
         assert!(cache.store().stores(v0, DataId(1)));
         assert!(cache.store().stores(v0, DataId(2)));
         assert_eq!(cache.eviction_log(), &[(v0, DataId(0))]);
         assert_eq!(cache.counters().evictions, 1);
-        // The Bloom summary was rebuilt without the victim... it may still
-        // report it (false positive), but the surviving items must probe
-        // positive.
-        assert!(cache.bloom(v0).contains(1));
-        assert!(cache.bloom(v0).contains(2));
     }
 
     #[test]
     fn solver_occupancy_shrinks_the_residual_budget() {
-        let (scenario, topology) = fixture();
+        let (scenario, _) = fixture();
         let mut solver = Placement::empty(4, 4);
         // Solver occupies 60 of 120 MB on server 0: residual fits one item.
         assert!(solver.place(ServerId(0), DataId(3), MegaBytes(60.0)));
         let mut cache = layer(PolicyKind::Lce, 4, 4);
-        cache.observe(&scenario, &topology, &solver, &miss_at(ServerId(0), DataId(0)));
-        cache.observe(&scenario, &topology, &solver, &miss_at(ServerId(0), DataId(1)));
-        cache.observe(&scenario, &topology, &solver, &miss_at(ServerId(0), DataId(1)));
+        cache.observe(&scenario, &solver, &miss_at(ServerId(0), DataId(0)));
+        cache.observe(&scenario, &solver, &miss_at(ServerId(0), DataId(1)));
+        cache.observe(&scenario, &solver, &miss_at(ServerId(0), DataId(1)));
         let combined = solver.used(ServerId(0)).value() + cache.store().used(ServerId(0)).value();
         assert!(combined <= scenario.servers[0].storage.value() + 1e-9);
         assert_eq!(cache.store().data_on(ServerId(0)).count(), 1);
     }
 
     #[test]
-    fn serve_candidate_prefers_nearest_then_smallest_id() {
+    fn serve_candidate_takes_the_nearest_cached_replica() {
         let (scenario, topology) = fixture();
         let solver = Placement::empty(4, 4);
         let mut cache = layer(PolicyKind::Lce, 4, 4);
-        // Cache item 0 at servers 1 and 3; target 2 is one hop from both.
-        cache.observe(&scenario, &topology, &solver, &miss_at(ServerId(1), DataId(0)));
-        cache.observe(&scenario, &topology, &solver, &miss_at(ServerId(3), DataId(0)));
-        let (latency, origin) = cache
-            .serve_candidate(&topology, DataId(0), MegaBytes(60.0), ServerId(2))
+        // Cache item 0 at servers 1 and 3; target 0 is one hop from 1 and
+        // three hops from 3.
+        cache.observe(&scenario, &solver, &miss_at(ServerId(1), DataId(0)));
+        cache.observe(&scenario, &solver, &miss_at(ServerId(3), DataId(0)));
+        let latency = cache
+            .serve_candidate(&topology, DataId(0), MegaBytes(60.0), ServerId(0))
             .expect("cached replicas are reachable");
-        assert_eq!(origin, ServerId(1), "equidistant tie breaks to the smallest id");
+        let one_hop = topology.try_edge_latency(MegaBytes(60.0), ServerId(1), ServerId(0));
+        assert_eq!(Some(latency), one_hop.map(|l| l.value()));
         assert!(latency > 0.0);
         // A local cached replica serves at zero latency.
-        let (local, o) =
-            cache.serve_candidate(&topology, DataId(0), MegaBytes(60.0), ServerId(1)).unwrap();
-        assert_eq!((local, o), (0.0, ServerId(1)));
+        let local = cache.serve_candidate(&topology, DataId(0), MegaBytes(60.0), ServerId(1));
+        assert_eq!(local, Some(0.0));
         assert!(cache
             .serve_candidate(&topology, DataId(2), MegaBytes(60.0), ServerId(0))
             .is_none());
@@ -547,11 +444,11 @@ mod tests {
 
     #[test]
     fn purge_server_drops_replicas_and_logs() {
-        let (scenario, topology) = fixture();
+        let (scenario, _) = fixture();
         let solver = Placement::empty(4, 4);
         let mut cache = layer(PolicyKind::Lce, 4, 4);
-        cache.observe(&scenario, &topology, &solver, &miss_at(ServerId(1), DataId(0)));
-        cache.observe(&scenario, &topology, &solver, &miss_at(ServerId(1), DataId(2)));
+        cache.observe(&scenario, &solver, &miss_at(ServerId(1), DataId(0)));
+        cache.observe(&scenario, &solver, &miss_at(ServerId(1), DataId(2)));
         cache.purge_server(&scenario, ServerId(1));
         assert_eq!(cache.store().data_on(ServerId(1)).count(), 0);
         assert_eq!(cache.counters().outage_evictions, 2);
@@ -560,11 +457,11 @@ mod tests {
 
     #[test]
     fn reconcile_restores_disjointness_and_budget() {
-        let (scenario, topology) = fixture();
+        let (scenario, _) = fixture();
         let mut solver = Placement::empty(4, 4);
         let mut cache = layer(PolicyKind::Lce, 4, 4);
-        cache.observe(&scenario, &topology, &solver, &miss_at(ServerId(0), DataId(0)));
-        cache.observe(&scenario, &topology, &solver, &miss_at(ServerId(0), DataId(1)));
+        cache.observe(&scenario, &solver, &miss_at(ServerId(0), DataId(0)));
+        cache.observe(&scenario, &solver, &miss_at(ServerId(0), DataId(1)));
         // A repair now places item 0 on server 0 (duplicate) and item 3 on
         // server 0 (eats 60 MB of residual budget).
         assert!(solver.place(ServerId(0), DataId(0), MegaBytes(60.0)));
@@ -580,74 +477,35 @@ mod tests {
 
     #[test]
     fn restrict_admission_falls_back_to_owned_target() {
-        let (scenario, topology) = fixture();
+        let (scenario, _) = fixture();
         let solver = Placement::empty(4, 4);
         let mut cache = layer(PolicyKind::Lce, 4, 4);
         cache.restrict_admission(&[ServerId(2), ServerId(3)]);
-        cache.observe(&scenario, &topology, &solver, &miss_at(ServerId(0), DataId(0)));
+        cache.observe(&scenario, &solver, &miss_at(ServerId(0), DataId(0)));
         assert_eq!(cache.store().num_placements(), 0, "unowned target admits nothing");
         assert_eq!(cache.counters().rejected, 1);
-        cache.observe(&scenario, &topology, &solver, &miss_at(ServerId(2), DataId(0)));
+        cache.observe(&scenario, &solver, &miss_at(ServerId(2), DataId(0)));
         assert!(cache.store().stores(ServerId(2), DataId(0)));
-    }
-
-    #[test]
-    fn foreign_summary_overrides_local_knowledge() {
-        let (scenario, topology) = fixture();
-        let solver = Placement::empty(4, 4);
-        let mut cache = layer(PolicyKind::Collab, 4, 4);
-        let mut summary = BloomSummary::new(256, 3);
-        summary.insert(0);
-        cache.install_foreign_summary(ServerId(1), summary);
-        assert!(cache.likely_holds(ServerId(1), DataId(0), &solver));
-        // Collaborative admission at server 0 (neighbour 1 holds item 0)
-        // is suppressed even past the popularity threshold.
-        for _ in 0..5 {
-            cache.observe(&scenario, &topology, &solver, &miss_at(ServerId(0), DataId(0)));
-        }
-        assert!(!cache.store().stores(ServerId(0), DataId(0)));
-        // Item 1 is unknown to every neighbour: admitted once hot enough.
-        for _ in 0..5 {
-            cache.observe(&scenario, &topology, &solver, &miss_at(ServerId(0), DataId(1)));
-        }
-        assert!(cache.store().stores(ServerId(0), DataId(1)));
-    }
-
-    #[test]
-    fn export_summary_covers_solver_and_cache() {
-        let (scenario, topology) = fixture();
-        let mut solver = Placement::empty(4, 4);
-        assert!(solver.place(ServerId(0), DataId(3), MegaBytes(60.0)));
-        let mut cache = layer(PolicyKind::Lce, 4, 4);
-        cache.observe(&scenario, &topology, &solver, &miss_at(ServerId(0), DataId(0)));
-        let summary = cache.export_summary(ServerId(0), &solver);
-        assert!(summary.contains(0), "cached replica must probe positive");
-        assert!(summary.contains(3), "solver replica must probe positive");
     }
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
-        /// Same seed + same observation stream ⇒ identical eviction
-        /// sequence and store, for every policy. This is the layer-local
-        /// half of the determinism contract (the engine test extends it to
-        /// worker counts).
+        /// Same observation stream ⇒ identical eviction sequence and
+        /// store. This is the layer-local half of the determinism contract
+        /// (the engine test extends it to worker counts).
         #[test]
         fn identical_streams_replay_identically(
             stream in proptest::collection::vec((0u32..4, 0u32..4), 1..200),
-            policy_pick in 0usize..4,
-            seed in 0u64..1024,
         ) {
-            let policy = [PolicyKind::Lce, PolicyKind::Lcd, PolicyKind::ProbCache, PolicyKind::Collab][policy_pick];
-            let (scenario, topology) = fixture();
+            let (scenario, _) = fixture();
             let solver = Placement::empty(4, 4);
-            let config = CacheConfig { policy, seed, ..CacheConfig::default() };
-            let mut a = CacheLayer::new(config, 4, 4).unwrap();
-            let mut b = CacheLayer::new(config, 4, 4).unwrap();
+            let mut a = layer(PolicyKind::Lce, 4, 4);
+            let mut b = layer(PolicyKind::Lce, 4, 4);
             for &(server, data) in &stream {
                 let obs = miss_at(ServerId(server), DataId(data));
-                a.observe(&scenario, &topology, &solver, &obs);
-                b.observe(&scenario, &topology, &solver, &obs);
+                a.observe(&scenario, &solver, &obs);
+                b.observe(&scenario, &solver, &obs);
             }
             prop_assert_eq!(a.eviction_log(), b.eviction_log());
             prop_assert_eq!(a.counters(), b.counters());
@@ -667,12 +525,12 @@ mod tests {
         fn budget_is_never_exceeded(
             stream in proptest::collection::vec((0u32..4, 0u32..4), 1..200),
         ) {
-            let (scenario, topology) = fixture();
+            let (scenario, _) = fixture();
             let mut solver = Placement::empty(4, 4);
             solver.place(ServerId(1), DataId(3), MegaBytes(60.0));
             let mut cache = layer(PolicyKind::Lce, 4, 4);
             for &(server, data) in &stream {
-                cache.observe(&scenario, &topology, &solver, &miss_at(ServerId(server), DataId(data)));
+                cache.observe(&scenario, &solver, &miss_at(ServerId(server), DataId(data)));
                 for srv in &scenario.servers {
                     let combined = solver.used(srv.id).value() + cache.store().used(srv.id).value();
                     prop_assert!(combined <= srv.storage.value() + 1e-9);

@@ -6,45 +6,34 @@
 //! diurnal waves — see `idde_engine::workload`) the hot set walks away from
 //! the solved placement long before the next churn-triggered re-solve. This
 //! crate adds the classic content-network answer: **opportunistic on-path
-//! replicas**, installed per served request by a pluggable admission policy
-//! and evicted by popularity under the Eq. 6 storage budget.
+//! replicas**, installed per served request by leave-copy-everywhere (LCE)
+//! admission and evicted by popularity under the Eq. 6 storage budget.
 //!
-//! * [`bloom`] — per-server Bloom-filter replica summaries: O(1)
-//!   cross-server presence checks for collaborative admission, with the
-//!   exact replica set retained as the oracle (a Bloom negative is always a
-//!   true negative; the audits and proptests pin this).
-//! * [`policy`] — the [`CachePolicy`] trait and its four implementations:
-//!   leave-copy-everywhere (LCE), leave-copy-down (LCD), probabilistic
-//!   admission (ProbCache) and popularity-based collaborative admission.
-//! * [`layer`] — the [`CacheLayer`]: the engine-side state (cached replica
-//!   store, popularity counters, seeded RNG, summaries) with the
-//!   admission/eviction flow. Cached replicas live **outside** the solver's
-//!   placement, in the *residual* Eq. 6 budget `A_i − used_i(σ)`, so the
-//!   cache never perturbs the game: with the policy off the serve CSV is
-//!   byte-identical to an uncached engine, and across policies the engine
-//!   state fingerprint is invariant (the bench ledger's `cache_drift` case
-//!   observes exactly this).
+//! * [`layer`] — [`PolicyKind`] (`off` or `lce`), [`CacheConfig`] and the
+//!   [`CacheLayer`]: the engine-side state (cached replica store, decayed
+//!   popularity counters) with the admission/eviction flow. Cached
+//!   replicas live **outside** the solver's placement, in the *residual*
+//!   Eq. 6 budget `A_i − used_i(σ)`, so the cache never perturbs the game:
+//!   with the policy off the serve CSV is byte-identical to an uncached
+//!   engine, and with LCE on the engine state fingerprint is unchanged (the
+//!   bench ledger's `cache_drift` case observes exactly this).
 //! * [`audit`] — the cache extension of the invariant auditor: combined
-//!   storage budgets, store/placement disjointness, no replicas on downed
-//!   servers (stale paths) and the Bloom true-negative oracle.
+//!   storage budgets, store/placement disjointness and no replicas on
+//!   downed servers (stale paths).
 //!
-//! Everything is deterministic: admission randomness comes from a
-//! `ChaCha8Rng` seeded by [`CacheConfig::seed`], eviction is ordered by
-//! (popularity, data id), and no step depends on the worker count — the
-//! serve CSV of a cached run is byte-identical at any
+//! LCE is the only admission policy because it gave the lowest mean
+//! delivery latency of every policy measured (EXPERIMENTS.md,
+//! "Cache-under-drift sweep").
+//!
+//! Everything is deterministic: admission draws no randomness, eviction
+//! is ordered by (popularity, data id), and no step depends on the worker
+//! count — the serve CSV of a cached run is byte-identical at any
 //! `RAYON_NUM_THREADS`.
 
 #![warn(missing_docs)]
 
 pub mod audit;
-pub mod bloom;
 pub mod layer;
-pub mod policy;
 
 pub use audit::audit_cache;
-pub use bloom::BloomSummary;
-pub use layer::{CacheConfig, CacheCounters, CacheLayer, Observation};
-pub use policy::{
-    CachePolicy, LeaveCopyDown, LeaveCopyEverywhere, PolicyImpl, PolicyKind,
-    PopularityCollaborative, ProbCache, RequestContext,
-};
+pub use layer::{CacheConfig, CacheCounters, CacheLayer, Observation, PolicyKind};

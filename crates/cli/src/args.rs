@@ -26,7 +26,7 @@ commands:
              [--seed S] [--ticks T] [--density D] [--net-seed S]
              [--checkpoint T] [--drift X] [--csv FILE] [--audit N]
              [--chaos SPEC] [--shards K] [--batch N]
-             [--cache off|lce|lcd|probcache|collab]
+             [--cache off|lce]
              [--delivery unicast|steiner] [--workload steady|drift]
   chaos      compile a fault spec against a scenario's topology and
              print the scheduled fault timeline (dry run)
@@ -62,15 +62,16 @@ N per-event ones. `--batch 1` (the default) is the unbatched engine,
 byte-identical to previous releases; larger batches keep positions,
 activity and the coverage relation identical but may settle a
 different (equally valid) restricted equilibrium.
-`--cache POLICY` puts a deterministic on-path cache between the
-serve loop and the placement solver: opportunistic replicas admitted
-by the policy (lce, lcd, probcache or collab) into each server's
-residual Eq. 6 storage budget join the Eq. 8 delivery minimum.
-`--cache off` (the default) is byte-identical to a cache-less serve;
-cached runs append `cache_*` rows to the CSV. `--delivery steiner`
-plans every bulk replica install (the initial placement, post-outage
-re-replication, rebalancing handoffs) as a multi-source Steiner
-distribution tree over the surviving topology (idde-dist) and appends
+`--cache lce` puts a deterministic on-path cache between the serve
+loop and the placement solver: every request leaves a copy of its
+item at the user's serving server (leave copy everywhere), inside
+that server's residual Eq. 6 storage budget, and cached replicas
+join the Eq. 8 delivery minimum. `--cache off` (the default) is
+byte-identical to a cache-less serve; cached runs append `cache_*`
+rows to the CSV. `--delivery steiner` plans every bulk replica
+install (the initial placement, post-outage re-replication,
+rebalancing handoffs) as a multi-source Steiner distribution tree
+over the surviving topology (idde-dist) and appends
 `dist_*` rows to the CSV; `unicast` (the default) keeps the classic
 item-by-item pulls and a byte-identical CSV. The strategy only changes
 how installs travel, never which replicas exist. `--workload drift`
@@ -180,8 +181,8 @@ pub enum Command {
         /// Group-commit size of the batched ingestion layer (1 = the
         /// classic per-event path).
         batch: u64,
-        /// Caching policy name (normalised, lowercase; `"off"` = no cache).
-        cache: String,
+        /// Caching policy (parse-time validated; `Off` = no cache).
+        cache: idde_cache::PolicyKind,
         /// Bulk-distribution strategy (parse-time validated; `Unicast` is
         /// the byte-identical default).
         delivery: idde_dist::StrategyKind,
@@ -365,14 +366,9 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             if batch == 0 {
                 return Err("--batch needs a positive group-commit size".into());
             }
-            let cache = take("cache").unwrap_or_else(|| "off".into()).to_lowercase();
-            if !["off", "none", "lce", "lcd", "probcache", "prob", "collab", "collaborative"]
-                .contains(&cache.as_str())
-            {
-                return Err(format!(
-                    "--cache: expected off|lce|lcd|probcache|collab, got {cache:?}"
-                ));
-            }
+            let cache = take("cache")
+                .map_or(Ok(idde_cache::PolicyKind::Off), |v| v.parse())
+                .map_err(|e| format!("--cache: {e}"))?;
             let delivery = take("delivery")
                 .unwrap_or_else(|| "unicast".into())
                 .to_lowercase()
@@ -729,30 +725,41 @@ mod tests {
 
     #[test]
     fn parses_serve_cache_and_workload() {
+        use idde_cache::PolicyKind;
         // Defaults: no cache, the stationary workload.
         assert!(matches!(
             parse(&argv("serve")).unwrap(),
-            Command::Serve { ref cache, ref workload, .. }
-                if cache == "off" && workload == "steady"
+            Command::Serve { cache: PolicyKind::Off, ref workload, .. } if workload == "steady"
         ));
-        // Policies are normalised to lowercase; aliases pass the allowlist.
+        // Policy names are case-insensitive; `none` is an alias of `off`.
         assert!(matches!(
-            parse(&argv("serve --cache ProbCache --workload drift --ticks 50")).unwrap(),
-            Command::Serve { ref cache, ref workload, ticks: 50, .. }
-                if cache == "probcache" && workload == "drift"
+            parse(&argv("serve --cache LCE --workload drift --ticks 50")).unwrap(),
+            Command::Serve { cache: PolicyKind::Lce, ref workload, ticks: 50, .. }
+                if workload == "drift"
         ));
-        for policy in ["off", "none", "lce", "lcd", "prob", "collab", "collaborative"] {
-            assert!(parse(&argv(&format!("serve --cache {policy}"))).is_ok(), "{policy}");
-        }
+        assert!(matches!(
+            parse(&argv("serve --cache none")).unwrap(),
+            Command::Serve { cache: PolicyKind::Off, .. }
+        ));
         // The cache composes with sharding and batching.
         assert!(matches!(
-            parse(&argv("serve --cache lcd --shards 4 --batch 8")).unwrap(),
-            Command::Serve { ref cache, shards: Some(4), batch: 8, .. } if cache == "lcd"
+            parse(&argv("serve --cache lce --shards 4 --batch 8")).unwrap(),
+            Command::Serve { cache: PolicyKind::Lce, shards: Some(4), batch: 8, .. }
         ));
         // Unknown values are parse-time errors, not serve-time surprises.
         assert!(parse(&argv("serve --cache lru")).is_err());
         assert!(parse(&argv("serve --workload bursty")).is_err());
         assert!(parse(&argv("generate --servers 5 --users 9 --data 1 --cache lce")).is_err());
+    }
+
+    /// The removed admission policies are rejected with an error that
+    /// names the remaining spellings — never a panic.
+    #[test]
+    fn retired_cache_policies_are_errors_naming_off_and_lce() {
+        for policy in ["lcd", "probcache", "prob", "collab", "collaborative"] {
+            let err = parse(&argv(&format!("serve --cache {policy}"))).unwrap_err();
+            assert!(err.starts_with("--cache:") && err.contains("off|lce"), "{policy}: {err}");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::io::Read as _;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use idde_baselines::{standard_panel, Cdp, DeliveryStrategy, DupG, IddeGStrategy, IddeIp, Saa};
+use idde_baselines::{standard_panel, Approach, Cdp, DupG, IddeGStrategy, IddeIp, Saa};
 use idde_cache::{CacheConfig, PolicyKind};
 use idde_chaos::FaultSpec;
 use idde_core::Problem;
@@ -169,10 +169,7 @@ fn info(path: Option<&Path>) -> Result<(), String> {
     Ok(())
 }
 
-fn approach_by_name(
-    name: &str,
-    iddeip_ms: u64,
-) -> Result<Box<dyn DeliveryStrategy + Send + Sync>, String> {
+fn approach_by_name(name: &str, iddeip_ms: u64) -> Result<Box<dyn Approach + Send + Sync>, String> {
     Ok(match name {
         "idde-g" | "iddeg" => Box::new(IddeGStrategy::default()),
         "idde-ip" | "iddeip" => Box::new(IddeIp::with_budget(Duration::from_millis(iddeip_ms))),
@@ -415,9 +412,9 @@ fn print_ledger_table(ledger: &idde_bench::ledger::Ledger) {
         );
     }
     // The cache_drift case's `threads` column records the caching-policy
-    // index over [off, lce, lcd, probcache]; its shared fingerprint is the
-    // "cache never perturbs the solver" contract, and the per-policy hit and
-    // latency figures live in the workload string.
+    // index over [off, lce]; its shared fingerprint is the "cache never
+    // perturbs the solver" contract, and the per-policy hit and latency
+    // figures live in the workload string.
     if let Some(case) = ledger.cases.iter().find(|c| c.name == "cache_drift") {
         println!("cache drift (threads column = policy index; shared fingerprint = solver");
         println!("trajectory is policy-invariant):");
@@ -453,7 +450,7 @@ struct ServeOptions {
     chaos: Option<String>,
     shards: Option<usize>,
     batch: u64,
-    cache: String,
+    cache: PolicyKind,
     delivery: StrategyKind,
     workload: String,
 }
@@ -511,10 +508,6 @@ fn serve(opts: ServeOptions) -> Result<(), String> {
         return Err("serve needs a scenario with at least one data item".into());
     }
     let problem = build_problem(scenario, opts.density, opts.net_seed);
-    // `--cache off` leaves `CacheConfig::default()` (policy Off) in place,
-    // so the engine constructs no layer and the serve is byte-identical to
-    // a cache-less build. The layer's RNG derives from the master seed.
-    let policy: PolicyKind = opts.cache.parse().map_err(|e| format!("--cache: {e}"))?;
     // `--delivery unicast` leaves recording off, so no distribution plan is
     // built and the serve CSV stays byte-identical to pre-dist builds;
     // `--delivery steiner` records every bulk install round and appends the
@@ -525,12 +518,14 @@ fn serve(opts: ServeOptions) -> Result<(), String> {
         checkpoint_interval: opts.checkpoint,
         audit_every: opts.audit,
         batch: opts.batch,
-        cache: CacheConfig { policy, seed: opts.seed, ..CacheConfig::default() },
+        // `--cache off` builds no layer: the serve is byte-identical to a
+        // cache-less build.
+        cache: CacheConfig { policy: opts.cache, ..CacheConfig::default() },
         dist: DistConfig { strategy: opts.delivery, record: record_dist, ..DistConfig::default() },
         ..Default::default()
     };
-    if policy != PolicyKind::Off {
-        eprintln!("cache: {policy} policy, on-path admission into residual Eq. 6 budgets");
+    if opts.cache != PolicyKind::Off {
+        eprintln!("cache: {} policy, on-path admission into residual Eq. 6 budgets", opts.cache);
     }
     if record_dist {
         eprintln!("delivery: {} bulk distribution over the surviving topology", opts.delivery);
@@ -772,7 +767,7 @@ mod tests {
                 chaos: None,
                 shards: None,
                 batch: 1,
-                cache: "off".into(),
+                cache: PolicyKind::Off,
                 delivery: StrategyKind::Unicast,
                 workload: "steady".into(),
             })
@@ -810,7 +805,7 @@ mod tests {
             chaos: None,
             shards: None,
             batch: 1,
-            cache: "off".into(),
+            cache: PolicyKind::Off,
             delivery: StrategyKind::Unicast,
             workload: "steady".into(),
         })
@@ -848,7 +843,7 @@ mod tests {
                 chaos: None,
                 shards,
                 batch: 1,
-                cache: "off".into(),
+                cache: PolicyKind::Off,
                 delivery: StrategyKind::Unicast,
                 workload: "steady".into(),
             })
@@ -873,7 +868,7 @@ mod tests {
     fn cached_drift_serve_reports_traffic_and_off_is_the_identity() {
         let dir = std::env::temp_dir().join("idde-cli-cache-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let run = |name: &str, cache: &str, workload: &str| -> String {
+        let run = |name: &str, cache: PolicyKind, workload: &str| -> String {
             let path = dir.join(name);
             serve(ServeOptions {
                 scenario: None,
@@ -893,23 +888,27 @@ mod tests {
                 chaos: None,
                 shards: None,
                 batch: 1,
-                cache: cache.into(),
+                cache,
                 delivery: StrategyKind::Unicast,
                 workload: workload.into(),
             })
             .unwrap();
             std::fs::read_to_string(path).unwrap()
         };
-        let cached = run("cached.csv", "probcache", "drift");
+        let cached = run("cached.csv", PolicyKind::Lce, "drift");
         let hits = csv_metric(&cached, "cache_hits");
         let insertions = csv_metric(&cached, "cache_insertions");
         assert!(insertions > 0, "the drift workload must drive admissions:\n{cached}");
         assert!(hits > 0, "cached items must be re-served:\n{cached}");
         assert!(cached.contains("audit_violations,0\n"), "{cached}");
 
-        let off = run("off.csv", "off", "drift");
+        let off = run("off.csv", PolicyKind::Off, "drift");
         assert!(!off.contains("cache_"), "--cache off must not emit cache rows:\n{off}");
-        assert_eq!(off, run("off2.csv", "off", "drift"), "off serve must be deterministic");
+        assert_eq!(
+            off,
+            run("off2.csv", PolicyKind::Off, "drift"),
+            "off serve must be deterministic"
+        );
         assert_ne!(off, cached, "the cache must actually change served latencies");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -943,7 +942,7 @@ mod tests {
                 chaos: None,
                 shards,
                 batch,
-                cache: "off".into(),
+                cache: PolicyKind::Off,
                 delivery: StrategyKind::Unicast,
                 workload: "steady".into(),
             })
@@ -997,7 +996,7 @@ mod tests {
                 chaos: Some("rand:2022:2:1:1@15+6".into()),
                 shards,
                 batch: 1,
-                cache: "off".into(),
+                cache: PolicyKind::Off,
                 delivery,
                 workload: "steady".into(),
             })
@@ -1079,7 +1078,7 @@ mod tests {
                 chaos: Some("rand:2022:2:1:1@20+8".into()),
                 shards: None,
                 batch: 1,
-                cache: "off".into(),
+                cache: PolicyKind::Off,
                 delivery: StrategyKind::Unicast,
                 workload: "steady".into(),
             })
@@ -1112,7 +1111,7 @@ mod tests {
             chaos: Some("meteor:3@4".into()),
             shards: None,
             batch: 1,
-            cache: "off".into(),
+            cache: PolicyKind::Off,
             delivery: StrategyKind::Unicast,
             workload: "steady".into(),
         })

@@ -96,7 +96,7 @@ pub struct EngineConfig {
     /// [`idde_cache::PolicyKind::Off`], under which the engine constructs
     /// no [`CacheLayer`] at all and every serve-path branch is bitwise the
     /// pre-cache code: the uncached serve CSV is byte-identical to builds
-    /// that predate the caching layer. With a policy on, cached replicas
+    /// that predate the caching layer. With LCE on, cached replicas
     /// join the Eq. 8 minimum on the request-serving path, occupy only
     /// the residual Eq. 6 budget, and never perturb the solver's game.
     pub cache: CacheConfig,
@@ -628,7 +628,14 @@ impl Engine {
                 }
             }
         }
-        self.batch_dirty_union();
+        // The union dirty set: the pending users' *fresh* covering servers
+        // (post-refresh) unioned with the vacated servers recorded at
+        // ingest — a superset of the per-event dirty sets it replaces.
+        let users = std::mem::take(&mut self.pending.dirty_users);
+        let servers = std::mem::take(&mut self.pending.dirty_servers);
+        self.neighbourhood_dirty_set(&users, &servers);
+        self.pending.dirty_users = users;
+        self.pending.dirty_servers = servers;
         self.repair_scratch();
         let placement_dirty = self.pending.placement_dirty
             || moved.iter().any(|&(user, old)| self.allocation.server_of(user) != old);
@@ -641,41 +648,6 @@ impl Engine {
         self.pending.dirty_servers.clear();
         self.pending.placement_dirty = false;
         self.pending.len = 0;
-    }
-
-    /// The union dirty set of a batch flush, filled into
-    /// [`Engine::dirty_scratch`]: the pending users and every active
-    /// allocated user within cross-interference range of the pending
-    /// neighbourhood — the seeds' *fresh* covering servers (post-refresh)
-    /// unioned with the vacated servers recorded at ingest. A superset of
-    /// the union of the per-event dirty sets it replaces.
-    fn batch_dirty_union(&mut self) {
-        let coverage = &self.problem.scenario.coverage;
-        let near = &mut self.near_scratch;
-        near.clear();
-        near.extend_from_slice(&self.pending.dirty_servers);
-        for &user in &self.pending.dirty_users {
-            near.extend_from_slice(coverage.servers_of(user));
-        }
-        near.sort_unstable();
-        near.dedup();
-
-        let dirty = &mut self.dirty_scratch;
-        dirty.clear();
-        dirty.extend(self.pending.dirty_users.iter().copied().filter(|u| self.active[u.index()]));
-        for (other, decision) in self.allocation.iter() {
-            if !self.active[other.index()] {
-                continue;
-            }
-            let allocated_near = decision.is_some_and(|(s, _)| near.binary_search(&s).is_ok());
-            let covered_near =
-                coverage.servers_of(other).iter().any(|s| near.binary_search(s).is_ok());
-            if allocated_near || covered_near {
-                dirty.push(other);
-            }
-        }
-        dirty.sort_unstable();
-        dirty.dedup();
     }
 
     /// Runs one full invariant audit over the current strategy: the
@@ -699,7 +671,7 @@ impl Engine {
             ));
         }
         // Cache invariants: combined Eq. 6 budget, store/placement
-        // disjointness, no stale replicas on downed servers, Bloom oracle.
+        // disjointness, no stale replicas on downed servers.
         if let Some(cache) = &self.cache {
             report.merge(audit_cache(&self.problem.scenario, &self.placement, cache, &down));
         }
@@ -793,22 +765,17 @@ impl Engine {
                 let (mut latency, source) =
                     self.problem.topology.delivery_latency(&self.placement, data, size, target);
                 let mut from_edge = matches!(source, DeliverySource::Edge(_));
-                let mut origin = match source {
-                    DeliverySource::Edge(server) => Some(server),
-                    DeliverySource::Cloud => None,
-                };
                 // Cached replicas join the Eq. 8 minimum. Strict `<`: the
                 // solver placement wins ties, and with the cache off this
                 // whole block vanishes (bitwise pre-cache serve path).
                 let mut served_from_cache = false;
                 if let Some(cache) = &self.cache {
-                    if let Some((cached_ms, cached_origin)) =
+                    if let Some(cached_ms) =
                         cache.serve_candidate(&self.problem.topology, data, size, target)
                     {
                         if cached_ms < latency.value() {
                             latency = Milliseconds(cached_ms);
                             from_edge = true;
-                            origin = Some(cached_origin);
                             served_from_cache = true;
                         }
                     }
@@ -858,15 +825,10 @@ impl Engine {
                         cache.counters_mut().hit_checks += 1;
                     }
                 }
-                // Feed the served request through the admission policy.
+                // Feed the served request through LCE admission.
                 if let Some(cache) = self.cache.as_mut() {
-                    let obs = Observation { data, target, source: origin, served_from_cache };
-                    cache.observe(
-                        &self.problem.scenario,
-                        &self.problem.topology,
-                        &self.placement,
-                        &obs,
-                    );
+                    let obs = Observation { data, target, served_from_cache };
+                    cache.observe(&self.problem.scenario, &self.placement, &obs);
                     self.metrics.cache = Some(*cache.counters());
                 }
                 (latency, from_edge)
@@ -996,7 +958,7 @@ impl Engine {
 
         // Equilibrium repair over the displaced users and the surviving
         // neighbourhood, then re-replication of what was lost.
-        self.neighbourhood_dirty_set(&affected);
+        self.neighbourhood_dirty_set(&affected, &[]);
         self.repair_scratch();
         self.refresh_placement_after_fault();
     }
@@ -1025,7 +987,7 @@ impl Engine {
         // Everyone the jammed server covers sees a different Eq. 2/Eq. 12
         // trade-off now; let them re-evaluate.
         let affected: Vec<UserId> = self.problem.scenario.coverage.users_of(server).to_vec();
-        self.neighbourhood_dirty_set(&affected);
+        self.neighbourhood_dirty_set(&affected, &[]);
         self.repair_scratch();
     }
 
@@ -1036,20 +998,22 @@ impl Engine {
         self.problem.radio.set_jamming(server, 0.0);
         self.metrics.restorations += 1;
         let affected: Vec<UserId> = self.problem.scenario.coverage.users_of(server).to_vec();
-        self.neighbourhood_dirty_set(&affected);
+        self.neighbourhood_dirty_set(&affected, &[]);
         self.repair_scratch();
     }
 
-    /// The dirty set of a server-scoped fault: the affected users plus every
-    /// active allocated user within cross-interference range of a server
-    /// covering one of them — the same neighbourhood notion as
-    /// [`Engine::dirty_set`], widened from one mover to a user set. Fills
+    /// The dirty set of a server-scoped fault or a batch flush: the active
+    /// `users` plus every active user allocated to, or covered by, a server
+    /// in the neighbourhood — `servers` and the servers covering any of
+    /// `users`. The same neighbourhood notion as [`Engine::dirty_set`],
+    /// widened from one mover to a user set. Fills
     /// [`Engine::dirty_scratch`] (sorted ascending, deduped) in place.
-    fn neighbourhood_dirty_set(&mut self, affected: &[UserId]) {
+    fn neighbourhood_dirty_set(&mut self, users: &[UserId], servers: &[ServerId]) {
         let coverage = &self.problem.scenario.coverage;
         let near = &mut self.near_scratch;
         near.clear();
-        for &user in affected {
+        near.extend_from_slice(servers);
+        for &user in users {
             near.extend_from_slice(coverage.servers_of(user));
         }
         near.sort_unstable();
@@ -1057,7 +1021,7 @@ impl Engine {
 
         let dirty = &mut self.dirty_scratch;
         dirty.clear();
-        dirty.extend(affected.iter().copied().filter(|u| self.active[u.index()]));
+        dirty.extend(users.iter().copied().filter(|u| self.active[u.index()]));
         for (other, decision) in self.allocation.iter() {
             if !self.active[other.index()] {
                 continue;
@@ -1074,12 +1038,14 @@ impl Engine {
     }
 
     /// The dirty set of a churn event concerning `user`: the user itself (if
-    /// active), the co-channel sharers of its vacated slot `old`, and every
-    /// active allocated user within cross-interference range of the affected
-    /// neighbourhood (the servers covering the user — before the move, via
-    /// `extra_servers`, and after). Fills [`Engine::dirty_scratch`] (sorted
-    /// ascending, deduped) in place, so restricted repair is deterministic
-    /// and the hot path stops allocating a fresh `Vec` per event.
+    /// active) and every active allocated user within cross-interference
+    /// range of the affected neighbourhood (the servers covering the user —
+    /// before the move, via `extra_servers`, and after — plus the server of
+    /// its vacated slot `old`). Every co-channel sharer of the vacated slot
+    /// is allocated to, or covered by, `old`'s server, so it is in range.
+    /// Fills [`Engine::dirty_scratch`] (sorted ascending, deduped) in place,
+    /// so restricted repair is deterministic and the hot path stops
+    /// allocating a fresh `Vec` per event.
     fn dirty_set(
         &mut self,
         user: UserId,
@@ -1106,19 +1072,12 @@ impl Engine {
             if other == user || !self.active[other.index()] {
                 continue;
             }
-            let Some((server, channel)) = decision else { continue };
-            // Co-channel sharers of the vacated slot: same channel index on
-            // the old server, or on another server from which the old server
-            // is within the sharer's cross-interference range (Eq. 2).
-            let shares_old_slot = old.is_some_and(|(old_server, old_channel)| {
-                channel == old_channel
-                    && (server == old_server || coverage.covers(old_server, other))
-            });
+            let Some((server, _)) = decision else { continue };
             // Cross-interference range of the mover's neighbourhood: users
             // allocated to, or covered by, a server that covers the mover.
             let in_range = near.binary_search(&server).is_ok()
                 || coverage.servers_of(other).iter().any(|s| near.binary_search(s).is_ok());
-            if shares_old_slot || in_range {
+            if in_range {
                 dirty.push(other);
             }
         }
@@ -1827,11 +1786,11 @@ mod tests {
 
         // The neighbourhood variant honours the same contract.
         let affected = e.active_users();
-        e.neighbourhood_dirty_set(&affected);
+        e.neighbourhood_dirty_set(&affected, &[]);
         let primed = e.dirty_scratch.clone();
         fresh.dirty_scratch = Vec::new();
         fresh.near_scratch = Vec::new();
-        fresh.neighbourhood_dirty_set(&affected);
+        fresh.neighbourhood_dirty_set(&affected, &[]);
         assert_eq!(primed, fresh.dirty_scratch);
         assert!(primed.windows(2).all(|w| w[0] < w[1]));
     }
@@ -2123,14 +2082,14 @@ mod tests {
 
     /// The cache is strictly on-path: it must never perturb the game. The
     /// solver-side trajectory (allocation, placement, repair/audit
-    /// accounting) of a cached run is bit-identical to the uncached run —
+    /// accounting) of an LCE run is bit-identical to the uncached run —
     /// this invariance is what makes `--cache off` a byte-identity oracle
     /// and the bench fingerprint policy-invariant.
     #[test]
     fn cache_never_perturbs_the_solver_trajectory() {
         use idde_cache::PolicyKind;
         let mut baseline = None;
-        for policy in [PolicyKind::Off, PolicyKind::Lce, PolicyKind::Lcd, PolicyKind::ProbCache] {
+        for policy in [PolicyKind::Off, PolicyKind::Lce] {
             let (mut e, mut workload) = cached_engine(22, policy);
             e.run(&mut workload, 100);
             let strategy = e.strategy();

@@ -115,33 +115,31 @@ fn chaos_serve_csv_is_thread_count_invariant() {
 
 #[test]
 fn cached_drift_serve_is_thread_count_invariant() {
-    // The caching tentpole's determinism contract: same seed + any worker
+    // The caching layer's determinism contract: same seed + any worker
     // count ⇒ identical eviction sequence, identical cache store and
-    // byte-identical serve CSV — for every caching policy, under the
-    // non-stationary workload that actually exercises admission/eviction.
-    for policy in [PolicyKind::Lce, PolicyKind::Lcd, PolicyKind::ProbCache] {
-        let runs = with_threads(&[1, 2, 8], || {
-            let problem = sampled_problem(42);
-            let cfg = WorkloadConfig { drift: DriftProfile::drifting(), ..Default::default() };
-            let mut workload = WorkloadGenerator::new(cfg, 4, 42);
-            let initial = workload.initial_active(problem.scenario.num_users());
-            let config = EngineConfig {
-                audit_every: 50,
-                cache: CacheConfig { policy, ..CacheConfig::default() },
-                ..EngineConfig::default()
-            };
-            let mut engine = Engine::new(problem, config, initial);
-            engine.run(&mut workload, 60);
-            assert_eq!(engine.metrics().audit_violations, 0, "{policy}: audit violation");
-            let cache = engine.cache().expect("cache enabled");
-            (engine.metrics().to_csv(), cache.eviction_log().to_vec(), cache.store().clone())
-        });
-        let (csv_1, log_1, store_1) = &runs[0];
-        for (t, (csv, log, store)) in [1usize, 2, 8].into_iter().zip(&runs) {
-            assert_eq!(csv, csv_1, "{policy}: serve CSV changed between 1 and {t} workers");
-            assert_eq!(log, log_1, "{policy}: eviction sequence changed at {t} workers");
-            assert_eq!(store, store_1, "{policy}: cache store changed at {t} workers");
-        }
+    // byte-identical LCE serve CSV, under the non-stationary workload that
+    // actually exercises admission/eviction.
+    let runs = with_threads(&[1, 2, 8], || {
+        let problem = sampled_problem(42);
+        let cfg = WorkloadConfig { drift: DriftProfile::drifting(), ..Default::default() };
+        let mut workload = WorkloadGenerator::new(cfg, 4, 42);
+        let initial = workload.initial_active(problem.scenario.num_users());
+        let config = EngineConfig {
+            audit_every: 50,
+            cache: CacheConfig { policy: PolicyKind::Lce, ..CacheConfig::default() },
+            ..EngineConfig::default()
+        };
+        let mut engine = Engine::new(problem, config, initial);
+        engine.run(&mut workload, 60);
+        assert_eq!(engine.metrics().audit_violations, 0, "audit violation");
+        let cache = engine.cache().expect("cache enabled");
+        (engine.metrics().to_csv(), cache.eviction_log().to_vec(), cache.store().clone())
+    });
+    let (csv_1, log_1, store_1) = &runs[0];
+    for (t, (csv, log, store)) in [1usize, 2, 8].into_iter().zip(&runs) {
+        assert_eq!(csv, csv_1, "serve CSV changed between 1 and {t} workers");
+        assert_eq!(log, log_1, "eviction sequence changed at {t} workers");
+        assert_eq!(store, store_1, "cache store changed at {t} workers");
     }
 }
 
@@ -149,21 +147,17 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
     /// Property form of the cache determinism contract across random
-    /// seeds: for an arbitrary seed and policy, a 1-worker and a 4-worker
-    /// cached drift serve produce the same eviction sequence and CSV.
+    /// seeds: for an arbitrary seed, a 1-worker and a 4-worker LCE drift
+    /// serve produce the same eviction sequence and CSV.
     #[test]
-    fn cache_policy_determinism_holds_for_arbitrary_seeds(
-        seed in 0u64..10_000,
-        policy_ix in 0usize..3,
-    ) {
-        let policy = [PolicyKind::Lce, PolicyKind::Lcd, PolicyKind::ProbCache][policy_ix];
+    fn cache_policy_determinism_holds_for_arbitrary_seeds(seed in 0u64..10_000) {
         let runs = with_threads(&[1, 4], || {
             let problem = sampled_problem(seed);
             let cfg = WorkloadConfig { drift: DriftProfile::drifting(), ..Default::default() };
             let mut workload = WorkloadGenerator::new(cfg, 4, seed);
             let initial = workload.initial_active(problem.scenario.num_users());
             let config = EngineConfig {
-                cache: CacheConfig { policy, ..CacheConfig::default() },
+                cache: CacheConfig { policy: PolicyKind::Lce, ..CacheConfig::default() },
                 ..EngineConfig::default()
             };
             let mut engine = Engine::new(problem, config, initial);
@@ -171,7 +165,7 @@ proptest! {
             let cache = engine.cache().expect("cache enabled");
             (engine.metrics().to_csv(), cache.eviction_log().to_vec())
         });
-        prop_assert_eq!(&runs[0], &runs[1], "seed {}: {} diverged across workers", seed, policy);
+        prop_assert_eq!(&runs[0], &runs[1], "seed {}: LCE diverged across workers", seed);
     }
 }
 
