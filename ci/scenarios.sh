@@ -83,13 +83,14 @@ scenario_shard() {
   cmp "$out/mono.csv" "$out/one.csv"
 }
 
-# The batching layer end to end (ARCHITECTURE.md §7): the group-commit path
-# at the scale geography must stay violation-free while repairs are
-# coalesced across whole batches; --batch 1 must write the byte-identical
-# serve CSV to the unflagged engine; and the ingest-time counter projection
-# (the CSV's first seven rows) must be identical across batch sizes —
-# equilibrium-derived gauges below that line may legitimately differ (a
-# union repair is one game, not N).
+# Group commits end to end (ARCHITECTURE.md §7): the group-commit path at
+# the scale geography must stay violation-free while repairs are coalesced
+# across whole batches; the unflagged serve and --batch 1 must both write
+# the checked-in golden CSV byte for byte (ci/golden/), so the job fails
+# when that serve's output moves; and the ingest-time
+# counter projection (the CSV's first seven rows) must be identical across
+# batch sizes — equilibrium-derived gauges below that line may legitimately
+# differ (a union repair is one game, not N).
 scenario_batch() {
   idde serve \
     --scale-servers 2000 --scale-users 2400 \
@@ -103,7 +104,8 @@ scenario_batch() {
   idde serve \
     --servers 20 --users 100 --data 5 --seed 7 --ticks 100 --csv "$out/b1.csv" \
     --batch 1
-  cmp "$out/base.csv" "$out/b1.csv"
+  cmp ci/golden/serve_20x100_seed7.csv "$out/base.csv"
+  cmp ci/golden/serve_20x100_seed7.csv "$out/b1.csv"
   idde serve \
     --servers 20 --users 100 --data 5 --seed 7 --ticks 100 --csv "$out/b64.csv" \
     --batch 64

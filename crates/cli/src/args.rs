@@ -54,14 +54,13 @@ its own engine and the shards exchange halo state every tick;
 `--shards 1` is byte-identical to the unsharded engine, and with
 `--audit N` a per-tick cross-shard audit certifies the shards agree
 on one global interference field (reported separately from the CSV).
-`--batch N` group-commits churn through the engine's batched
-ingestion layer: every N ingested events (and at every request,
-fault, audit point and tick boundary) one coalesced coverage/gain
-refresh, union dirty-set repair and placement repair run instead of
-N per-event ones. `--batch 1` (the default) is the unbatched engine,
-byte-identical to previous releases; larger batches keep positions,
-activity and the coverage relation identical but may settle a
-different (equally valid) restricted equilibrium.
+`--batch N` group-commits churn (arrivals, departures, moves): every
+N ingested events (and at every request, fault, audit point and tick
+boundary) one coalesced coverage/gain refresh, union dirty-set repair
+and placement repair run instead of N separate ones. `--batch 1` (the
+default) commits each churn event on its own; larger batches keep
+positions, activity and the coverage relation identical but may
+settle a different (equally valid) restricted equilibrium.
 `--cache lce` puts a deterministic on-path cache between the serve
 loop and the placement solver: every request leaves a copy of its
 item at the user's serving server (leave copy everywhere), inside
@@ -178,8 +177,8 @@ pub enum Command {
         /// `Some(1)` routes through `idde-shard` with one shard, which is
         /// byte-identical to the monolithic serve).
         shards: Option<usize>,
-        /// Group-commit size of the batched ingestion layer (1 = the
-        /// classic per-event path).
+        /// Group-commit size for churn events (1 = each event commits on
+        /// its own).
         batch: u64,
         /// Caching policy (parse-time validated; `Off` = no cache).
         cache: idde_cache::PolicyKind,
@@ -285,6 +284,27 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             .map(|v| v.parse::<f64>().map_err(|_| format!("--{name}: bad number {v:?}")))
             .unwrap_or(Ok(default))
     };
+    // A NaN or negative density would trip the topology generator's
+    // assertion; reject it here, naming the flag.
+    let parse_density = || -> Result<f64, String> {
+        let density = parse_f64("density", 1.0)?;
+        if density.is_nan() || density < 0.0 {
+            return Err(format!("--density must be a non-negative number, got {density}"));
+        }
+        Ok(density)
+    };
+    // Sampling draws server sites from a non-empty range. `None` marks the
+    // flag as required.
+    let parse_servers = |default: Option<usize>| -> Result<usize, String> {
+        let servers = match take("servers") {
+            Some(v) => v.parse::<usize>().map_err(|_| "--servers: bad integer".to_string())?,
+            None => default.ok_or("--servers is required")?,
+        };
+        if servers == 0 {
+            return Err("--servers needs a positive server count".into());
+        }
+        Ok(servers)
+    };
     let known = |allowed: &[&str]| -> Result<(), String> {
         for (k, _) in &opts {
             if !allowed.contains(&k.as_str()) {
@@ -298,7 +318,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         "generate" => {
             known(&["servers", "users", "data", "seed", "out"])?;
             Ok(Command::Generate {
-                servers: parse_usize("servers")?,
+                servers: parse_servers(None)?,
                 users: parse_usize("users")?,
                 data: parse_usize("data")?,
                 seed: parse_u64("seed", 2022)?,
@@ -315,7 +335,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 scenario: take("scenario").and_then(|v| path_arg(&v)),
                 approach: take("approach").unwrap_or_else(|| "idde-g".into()).to_lowercase(),
                 seed: parse_u64("seed", 0)?,
-                density: parse_f64("density", 1.0)?,
+                density: parse_density()?,
                 net_seed: parse_u64("net-seed", 1)?,
                 iddeip_ms: parse_u64("iddeip-ms", 1000)?,
             })
@@ -325,7 +345,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             Ok(Command::Compare {
                 scenario: take("scenario").and_then(|v| path_arg(&v)),
                 seed: parse_u64("seed", 0)?,
-                density: parse_f64("density", 1.0)?,
+                density: parse_density()?,
                 net_seed: parse_u64("net-seed", 1)?,
                 iddeip_ms: parse_u64("iddeip-ms", 1000)?,
             })
@@ -374,15 +394,18 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 .to_lowercase()
                 .parse::<idde_dist::StrategyKind>()
                 .map_err(|e| format!("--delivery: {e}"))?;
+            let drift = parse_f64("drift", 0.05)?;
+            // A NaN threshold would silently never trigger a fallback.
+            if drift.is_nan() || drift < 0.0 {
+                return Err(format!("--drift must be a non-negative number, got {drift}"));
+            }
             let workload = take("workload").unwrap_or_else(|| "steady".into()).to_lowercase();
             if !["steady", "drift"].contains(&workload.as_str()) {
                 return Err(format!("--workload: expected steady|drift, got {workload:?}"));
             }
             Ok(Command::Serve {
                 scenario: take("scenario").map(|v| path_arg(&v)),
-                servers: take("servers")
-                    .map(|v| v.parse::<usize>().map_err(|_| "--servers: bad integer".to_string()))
-                    .unwrap_or(Ok(20))?,
+                servers: parse_servers(Some(20))?,
                 users: take("users")
                     .map(|v| v.parse::<usize>().map_err(|_| "--users: bad integer".to_string()))
                     .unwrap_or(Ok(100))?,
@@ -393,10 +416,10 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 scale_users: opt_usize("scale-users")?,
                 seed: parse_u64("seed", 42)?,
                 ticks: parse_u64("ticks", 200)?,
-                density: parse_f64("density", 1.0)?,
+                density: parse_density()?,
                 net_seed: parse_u64("net-seed", 1)?,
                 checkpoint: parse_u64("checkpoint", 50)?,
-                drift: parse_f64("drift", 0.05)?,
+                drift,
                 csv: take("csv").map(|v| path_arg(&v)),
                 audit: parse_u64("audit", 0)?,
                 chaos: take("chaos"),
@@ -414,9 +437,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             Ok(Command::Chaos {
                 spec: take("spec").ok_or("--spec is required")?,
                 scenario: take("scenario").map(|v| path_arg(&v)),
-                servers: take("servers")
-                    .map(|v| v.parse::<usize>().map_err(|_| "--servers: bad integer".to_string()))
-                    .unwrap_or(Ok(20))?,
+                servers: parse_servers(Some(20))?,
                 users: take("users")
                     .map(|v| v.parse::<usize>().map_err(|_| "--users: bad integer".to_string()))
                     .unwrap_or(Ok(100))?,
@@ -424,7 +445,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     .map(|v| v.parse::<usize>().map_err(|_| "--data: bad integer".to_string()))
                     .unwrap_or(Ok(5))?,
                 seed: parse_u64("seed", 42)?,
-                density: parse_f64("density", 1.0)?,
+                density: parse_density()?,
                 net_seed: parse_u64("net-seed", 1)?,
             })
         }
@@ -484,7 +505,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 out: take("out").and_then(|v| path_arg(&v)),
                 solve,
                 seed: parse_u64("seed", 0)?,
-                density: parse_f64("density", 1.0)?,
+                density: parse_density()?,
                 net_seed: parse_u64("net-seed", 1)?,
             })
         }
@@ -707,7 +728,7 @@ mod tests {
 
     #[test]
     fn parses_serve_batch() {
-        // Default 1 = the classic per-event path (the bitwise oracle).
+        // Default 1 = each churn event commits on its own.
         assert!(matches!(parse(&argv("serve")).unwrap(), Command::Serve { batch: 1, .. }));
         assert!(matches!(
             parse(&argv("serve --batch 64 --ticks 50")).unwrap(),
@@ -803,6 +824,30 @@ mod tests {
             }
         );
         assert!(parse(&argv("chaos")).is_err(), "--spec is required");
+    }
+
+    #[test]
+    fn rejects_inputs_that_would_panic_downstream() {
+        let err = parse(&argv("generate --servers 0 --users 5 --data 1")).unwrap_err();
+        assert!(err.contains("--servers"), "{err}");
+        for cmd in ["serve", "chaos --spec down:0@1+1"] {
+            let err = parse(&argv(&format!("{cmd} --servers 0"))).unwrap_err();
+            assert!(err.contains("--servers"), "{cmd}: {err}");
+            for density in ["-1", "nan", "NaN", "-inf"] {
+                let err = parse(&argv(&format!("{cmd} --density {density}"))).unwrap_err();
+                assert!(err.contains("--density"), "{cmd} --density {density}: {err}");
+            }
+            assert!(parse(&argv(&format!("{cmd} --density 0"))).is_ok(), "{cmd}");
+        }
+        for drift in ["nan", "-0.5"] {
+            let err = parse(&argv(&format!("serve --drift {drift}"))).unwrap_err();
+            assert!(err.contains("--drift"), "--drift {drift}: {err}");
+        }
+        assert!(
+            matches!(parse(&argv("serve --drift 0")).unwrap(), Command::Serve { drift, .. } if drift == 0.0)
+        );
+        let err = parse(&argv("solve --scenario x --density nan")).unwrap_err();
+        assert!(err.contains("--density"), "{err}");
     }
 
     #[test]

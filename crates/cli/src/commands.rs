@@ -402,7 +402,7 @@ fn print_ledger_table(ledger: &idde_bench::ledger::Ledger) {
     }
     // The batch_ingestion case's `threads` column records the group-commit
     // size B (every point is single-threaded); summarise the batching win
-    // as a speedup table against the B = 1 per-event oracle.
+    // as a speedup table against B = 1 (one commit per churn event).
     if let Some(case) = ledger.cases.iter().find(|c| c.name == "batch_ingestion") {
         let points: Vec<(usize, f64)> =
             case.points.iter().map(|p| (p.threads, p.median_ms())).collect();

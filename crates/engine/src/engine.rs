@@ -8,9 +8,12 @@
 //! replicas (the greedy treats them as cloud-served), and the offline
 //! formulation needs no structural changes to serve an online stream.
 //!
-//! On every churn event the engine computes a **dirty set** — the mover plus
-//! the co-channel sharers of the vacated slot plus every user within
-//! cross-interference range of the affected neighbourhood — and runs
+//! Churn events (arrivals, departures, moves) take one ingestion path: they
+//! are ingested, then committed in groups — a group of one for
+//! [`Engine::apply`], [`EngineConfig::batch`] events for
+//! [`Engine::apply_batch`]. Each commit computes a **dirty set** — the
+//! movers plus the co-channel sharers of the vacated slots plus every user
+//! within cross-interference range of the affected neighbourhood — and runs
 //! best-response passes restricted to that set
 //! ([`IddeUGame::run_restricted`]); frozen users keep their decisions but
 //! still exert interference, so the repair converges to a *restricted* Nash
@@ -80,17 +83,15 @@ pub struct EngineConfig {
     pub audit_every: u64,
     /// Tolerances the audits compare with.
     pub audit: AuditConfig,
-    /// Group-commit size of the batched ingestion layer used by
-    /// [`Engine::apply_batch`]: churn events (arrivals, departures, moves)
-    /// are *ingested* — state-exact activity flips, per-step clamped
-    /// positions, released channels — while their coverage/gain refresh and
-    /// dirty-set repair are deferred and coalesced into **one**
-    /// group-committed repair per `batch` ingested events. `1` (the
-    /// default) disables batching: every event runs the classic per-event
-    /// path and the serve CSV is byte-identical to the unbatched engine —
-    /// the bitwise oracle batched runs are validated against. Requests,
-    /// fault events, audit points and tick boundaries are flush barriers,
-    /// so no event is ever served or audited against deferred state.
+    /// Group-commit size of [`Engine::apply_batch`]: churn events
+    /// (arrivals, departures, moves) are *ingested* — state-exact activity
+    /// flips, per-step clamped positions, released channels — while their
+    /// coverage/gain refresh and dirty-set repair are deferred and coalesced
+    /// into **one** group-committed repair per `batch` ingested events. `1`
+    /// (the default) commits each churn event on its own, the same commit
+    /// [`Engine::apply`] runs. Requests, fault events, audit points and
+    /// tick boundaries are flush barriers, so no event is ever served or
+    /// audited against deferred state.
     pub batch: u64,
     /// On-path caching layer configuration. The default policy is
     /// [`idde_cache::PolicyKind::Off`], under which the engine constructs
@@ -130,11 +131,11 @@ impl Default for EngineConfig {
     }
 }
 
-/// Deferred work accumulated by the batched ingestion layer between two
-/// flushes (see [`EngineConfig::batch`]). Ingested events have already made
-/// their *state-exact* effects — activity flips, per-step clamped positions,
+/// Deferred work of the ingestion path between two flushes (see
+/// [`EngineConfig::batch`]). Ingested events have already made their
+/// *state-exact* effects — activity flips, per-step clamped positions,
 /// released channels, event counters — so the pending record only carries
-/// what the group commit still owes: which users need their coverage/gain
+/// what the commit still owes: which users need their coverage/gain
 /// columns refreshed, and which users/servers seed the union dirty set.
 #[derive(Clone, Debug, Default)]
 struct PendingBatch {
@@ -142,8 +143,8 @@ struct PendingBatch {
     /// with the serving server they had when their chain started (so the
     /// flush can tell whether the demand geometry moved and a placement
     /// repair is owed). Positions are already final — every step of the
-    /// chain was clamped at ingest, so the net relocation is bitwise equal
-    /// to the unbatched replay.
+    /// chain was clamped at ingest, so the net relocation is bitwise the
+    /// same at every group size.
     moved: Vec<(UserId, Option<ServerId>)>,
     /// Users seeding the union dirty set (arrivals and movers); their
     /// *fresh* post-flush coverage neighbourhood joins the union.
@@ -184,18 +185,15 @@ pub struct Engine {
     /// inactive locally, which keeps them out of every dirty set, rate
     /// average and player list.
     overlay: Vec<(UserId, ServerId, ChannelIndex)>,
-    /// Deferred-ingest state of the batching layer; empty outside
+    /// Deferred-ingest state; empty outside [`Engine::apply`] and
     /// [`Engine::apply_batch`] (every slice ends with a flush).
     pending: PendingBatch,
-    /// Reusable dirty-set output: [`Engine::dirty_set`] and friends fill
+    /// Reusable dirty-set output: [`Engine::neighbourhood_dirty_set`] fills
     /// this in place instead of allocating, sorting and deduping a fresh
     /// `Vec<UserId>` on every event.
     dirty_scratch: Vec<UserId>,
     /// Server-neighbourhood scratch backing the dirty-set computations.
     near_scratch: Vec<ServerId>,
-    /// Pre-move coverage scratch: `apply_move` snapshots the vacated
-    /// neighbourhood here before the coverage hook rewrites it.
-    cover_scratch: Vec<ServerId>,
     /// Gain-refresh candidate scratch threaded through every mobility
     /// event's restricted column refresh.
     gain_scratch: Vec<ServerId>,
@@ -252,7 +250,6 @@ impl Engine {
             pending: PendingBatch::default(),
             dirty_scratch: Vec::new(),
             near_scratch: Vec::new(),
-            cover_scratch: Vec::new(),
             gain_scratch: Vec::new(),
             field_buffers: idde_radio::FieldBuffers::default(),
         };
@@ -380,9 +377,7 @@ impl Engine {
                 source.push_tick(tick, &self.active, &mut queue);
             }
             // Drain the tick's events in (tick, seq) order into one slice
-            // and route it through the batching layer. At `batch == 1` the
-            // slice replays through the classic per-event path, so the
-            // collect step changes nothing observable.
+            // and commit it in groups of `batch` churn events.
             slice.clear();
             while let Some(scheduled) = queue.pop() {
                 slice.push(scheduled.event);
@@ -426,120 +421,81 @@ impl Engine {
             .count() as u64
     }
 
-    /// Applies one event. Events that no longer make sense (arrival of an
-    /// active slot, departure/move/request of an inactive one) are counted
-    /// but otherwise ignored, so external producers need not be perfectly
-    /// synchronised with the engine state.
+    /// Applies one event: a group commit of one (see [`Engine::apply_batch`]),
+    /// whatever [`EngineConfig::batch`] says. Events that no longer make
+    /// sense (arrival of an active slot, departure/move/request of an
+    /// inactive one) are counted but otherwise ignored, so external
+    /// producers need not be perfectly synchronised with the engine state.
     pub fn apply(&mut self, event: &Event) {
-        self.metrics.events += 1;
-        match *event {
-            Event::Arrive { user } => self.apply_arrive(user),
-            Event::Depart { user } => self.apply_depart(user),
-            Event::Move { user, dx, dy } => self.apply_move(user, dx, dy),
-            Event::Request { user, data } => self.apply_request(user, data),
-            Event::LinkDown { a, b } => self.apply_link_down(a, b),
-            Event::LinkRestore { a, b } => self.apply_link_restore(a, b),
-            Event::LinkDegrade { a, b, factor } => self.apply_link_degrade(a, b, factor),
-            Event::ServerDown { server } => self.apply_server_down(server),
-            Event::ServerRestore { server } => self.apply_server_restore(server),
-            Event::Jam { server, floor_w } => self.apply_jam(server, floor_w),
-            Event::Unjam { server } => self.apply_unjam(server),
-        }
-        let every = self.config.audit_every;
-        // `events % every` rather than `u64::is_multiple_of` — the latter
-        // needs Rust 1.87, above the workspace MSRV.
-        #[allow(clippy::manual_is_multiple_of)]
-        if every > 0 && self.metrics.events % every == 0 {
-            self.run_audit();
-        }
+        self.commit(std::slice::from_ref(event), 1);
     }
 
-    /// Applies a slice of events through the batched ingestion layer.
+    /// Applies a slice of events in group commits of
+    /// [`EngineConfig::batch`] churn events each.
     ///
-    /// At [`EngineConfig::batch`] `<= 1` this is exactly a sequential
-    /// [`Engine::apply`] loop — the bitwise oracle. At larger batch sizes,
-    /// churn events are *ingested*: their state-exact effects (activity
-    /// flips, per-step clamped positions, released channels, counters) land
-    /// immediately, while the coverage/gain refresh, the dirty-set repair
-    /// and the placement repair are deferred and **group-committed** once
-    /// per `batch` ingested events — same-user move chains coalesce into
-    /// one net relocation, the per-event dirty sets union into a single
+    /// Churn events (arrivals, departures, moves) are *ingested*: their
+    /// state-exact effects (activity flips, per-step clamped positions,
+    /// released channels, counters) land immediately, while the
+    /// coverage/gain refresh, the dirty-set repair and the placement repair
+    /// are deferred and run once per group — same-user move chains coalesce
+    /// into one net relocation, the per-event dirty sets union into a single
     /// restricted repair. Requests, fault events and audit points are flush
-    /// barriers (they observe fully committed state, exactly as unbatched),
-    /// and the slice always ends flushed, so callers never see deferred
-    /// state.
+    /// barriers (they observe fully committed state), and the slice always
+    /// ends flushed, so callers never see deferred state. At `batch == 1`
+    /// every churn event commits on its own, exactly as [`Engine::apply`].
     ///
     /// Determinism contract: a fixed `(seed, batch)` replay is bitwise
     /// reproducible, and across batch sizes the positions, activity flags,
     /// coverage relation and ingest counters are identical; the repaired
     /// *equilibrium* may differ (a union repair is one restricted game, not
-    /// N sequential ones), which is why equilibrium-derived gauges in the
-    /// CSV are only guaranteed stable at `batch == 1`.
+    /// N sequential ones), so equilibrium-derived gauges in the CSV depend
+    /// on the batch size.
     pub fn apply_batch(&mut self, events: &[Event]) {
-        if self.config.batch <= 1 {
-            for event in events {
-                self.apply(event);
-            }
-            return;
-        }
+        self.commit(events, self.config.batch);
+    }
+
+    /// The one ingestion path: ingests churn, flushes before every other
+    /// event and whenever `group` churn events are pending, and keeps the
+    /// audit cadence of [`EngineConfig::audit_every`].
+    fn commit(&mut self, events: &[Event], group: u64) {
         for event in events {
             self.metrics.events += 1;
+            if !matches!(event, Event::Arrive { .. } | Event::Depart { .. } | Event::Move { .. }) {
+                // Serving and fault handling always observe committed state.
+                self.flush_pending(group);
+            }
             match *event {
                 Event::Arrive { user } => self.ingest_arrive(user),
                 Event::Depart { user } => self.ingest_depart(user),
                 Event::Move { user, dx, dy } => self.ingest_move(user, dx, dy),
-                // Serving and fault handling always observe committed state.
-                Event::Request { user, data } => {
-                    self.flush_pending();
-                    self.apply_request(user, data);
-                }
-                Event::LinkDown { a, b } => {
-                    self.flush_pending();
-                    self.apply_link_down(a, b);
-                }
-                Event::LinkRestore { a, b } => {
-                    self.flush_pending();
-                    self.apply_link_restore(a, b);
-                }
-                Event::LinkDegrade { a, b, factor } => {
-                    self.flush_pending();
-                    self.apply_link_degrade(a, b, factor);
-                }
-                Event::ServerDown { server } => {
-                    self.flush_pending();
-                    self.apply_server_down(server);
-                }
-                Event::ServerRestore { server } => {
-                    self.flush_pending();
-                    self.apply_server_restore(server);
-                }
-                Event::Jam { server, floor_w } => {
-                    self.flush_pending();
-                    self.apply_jam(server, floor_w);
-                }
-                Event::Unjam { server } => {
-                    self.flush_pending();
-                    self.apply_unjam(server);
-                }
+                Event::Request { user, data } => self.apply_request(user, data),
+                Event::LinkDown { a, b } => self.apply_link_down(a, b),
+                Event::LinkRestore { a, b } => self.apply_link_restore(a, b),
+                Event::LinkDegrade { a, b, factor } => self.apply_link_degrade(a, b, factor),
+                Event::ServerDown { server } => self.apply_server_down(server),
+                Event::ServerRestore { server } => self.apply_server_restore(server),
+                Event::Jam { server, floor_w } => self.apply_jam(server, floor_w),
+                Event::Unjam { server } => self.apply_unjam(server),
             }
-            if self.pending.len >= self.config.batch {
-                self.flush_pending();
+            if self.pending.len >= group {
+                self.flush_pending(group);
             }
             let every = self.config.audit_every;
-            // Same cadence as [`Engine::apply`]; the audit is a flush
-            // barrier so it never inspects deferred state.
+            // `events % every` rather than `u64::is_multiple_of` — the latter
+            // needs Rust 1.87, above the workspace MSRV. The audit is a flush
+            // barrier, so it never inspects deferred state.
             #[allow(clippy::manual_is_multiple_of)]
             if every > 0 && self.metrics.events % every == 0 {
-                self.flush_pending();
+                self.flush_pending(group);
                 self.run_audit();
             }
         }
-        self.flush_pending();
+        self.flush_pending(group);
     }
 
-    /// Batched arrival ingest: the activity flip happens now; the
-    /// newcomer's allocation is owed by the flush's union repair (its fresh
-    /// coverage neighbourhood joins the union via `dirty_users`).
+    /// Arrival ingest: the activity flip happens now; the newcomer's
+    /// allocation is owed by the flush's repair (its fresh coverage
+    /// neighbourhood joins the dirty set via `dirty_users`).
     fn ingest_arrive(&mut self, user: UserId) {
         if self.active[user.index()] {
             return;
@@ -551,9 +507,9 @@ impl Engine {
         self.pending.len += 1;
     }
 
-    /// Batched departure ingest: the channel is released and the slot
-    /// deactivated now (so no later ingest sees a ghost), while the vacated
-    /// neighbourhood seeds the flush's union repair.
+    /// Departure ingest: the channel is released and the slot deactivated
+    /// now (so no later ingest sees a ghost), while the vacated
+    /// neighbourhood seeds the flush's repair.
     fn ingest_depart(&mut self, user: UserId) {
         if !self.active[user.index()] {
             return;
@@ -571,12 +527,12 @@ impl Engine {
         self.pending.len += 1;
     }
 
-    /// Batched move ingest: every step of a same-user chain updates the
-    /// position through the same per-step clamp as the unbatched path (so
-    /// the net position is bitwise equal to the sequential replay), but
-    /// coverage/gain refresh and repair are deferred — the chain coalesces
-    /// into one net relocation at flush. The first step snapshots the
-    /// vacated neighbourhood and the serving server.
+    /// Move ingest: every step of a same-user chain updates the position
+    /// through the per-step clamp (so the net position is bitwise equal
+    /// whatever the group size), but coverage/gain refresh and repair are
+    /// deferred — the chain coalesces into one net relocation at flush.
+    /// The first step snapshots the vacated neighbourhood and the serving
+    /// server.
     fn ingest_move(&mut self, user: UserId, dx: f64, dy: f64) {
         if !self.active[user.index()] {
             return;
@@ -599,41 +555,40 @@ impl Engine {
         self.pending.len += 1;
     }
 
-    /// Group commit of everything ingested since the last flush: one
-    /// coverage + restricted gain refresh per net-moved user at its final
-    /// position, constraint-(1) release of decisions the refreshed coverage
-    /// no longer supports, one union dirty-set repair, and at most one
-    /// placement repair (owed by churn, or by a mover whose serving server
-    /// changed). No-op when nothing is pending.
-    fn flush_pending(&mut self) {
+    /// Whether a commit of `group` events also repairs the active users
+    /// near the change who hold no channel. Commits of one event leave them
+    /// out, group commits take them in. Neither rule is universal because
+    /// either one moves serve output: such users can sit channel-less next
+    /// to free capacity after a server restore, which runs no repair of its
+    /// own, and whichever commit picks them up shifts the equilibrium the
+    /// repair settles.
+    fn repairs_idle_neighbours(group: u64) -> bool {
+        group > 1
+    }
+
+    /// Group commit of everything ingested since the last flush of a
+    /// commit of `group` events: one [`Engine::set_position`] re-sync per
+    /// net-moved user at its final position (coverage, restricted gain
+    /// refresh, constraint-(1) release), one union dirty-set repair, and at
+    /// most one placement repair (owed by churn, or by a mover whose serving
+    /// server changed). No-op when nothing is pending.
+    fn flush_pending(&mut self, group: u64) {
         if self.pending.len == 0 {
             return;
         }
         let moved = std::mem::take(&mut self.pending.moved);
         for &(user, _) in &moved {
-            let j = user.index();
-            {
-                let scenario = &mut self.problem.scenario;
-                scenario.coverage.update_user(&scenario.servers, &scenario.users[j]);
-            }
-            let here = self.problem.scenario.users[j].position;
-            debug_assert!(self.problem.scenario.area.contains(here));
-            self.refresh_gains(user, here);
-            // Constraint (1): a decision whose server no longer covers the
-            // user is infeasible and must be released before the flush
-            // rebuilds the field.
-            if let Some((server, _)) = self.allocation.decision(user) {
-                if !self.problem.scenario.coverage.covers(server, user) {
-                    self.allocation.set(user, None);
-                }
-            }
+            // Already clamped at ingest, so the clamp is the identity. The
+            // mover was active during this commit and mirrors only change
+            // between commits, so it holds no overlay mirror to release.
+            self.set_position(user, self.problem.scenario.users[user.index()].position);
         }
         // The union dirty set: the pending users' *fresh* covering servers
         // (post-refresh) unioned with the vacated servers recorded at
-        // ingest — a superset of the per-event dirty sets it replaces.
+        // ingest.
         let users = std::mem::take(&mut self.pending.dirty_users);
         let servers = std::mem::take(&mut self.pending.dirty_servers);
-        self.neighbourhood_dirty_set(&users, &servers);
+        self.neighbourhood_dirty_set(&users, &servers, Self::repairs_idle_neighbours(group));
         self.pending.dirty_users = users;
         self.pending.dirty_servers = servers;
         self.repair_scratch();
@@ -688,71 +643,6 @@ impl Engine {
     /// The healthy baseline link graph faults are applied against.
     pub fn base_graph(&self) -> &EdgeGraph {
         &self.base_graph
-    }
-
-    fn apply_arrive(&mut self, user: UserId) {
-        if self.active[user.index()] {
-            return;
-        }
-        self.active[user.index()] = true;
-        self.metrics.arrivals += 1;
-        self.dirty_set(user, None, &[]);
-        self.repair_scratch();
-        self.repair_placement();
-    }
-
-    fn apply_depart(&mut self, user: UserId) {
-        if !self.active[user.index()] {
-            return;
-        }
-        let old = self.allocation.set(user, None);
-        self.active[user.index()] = false;
-        self.metrics.departures += 1;
-        self.dirty_set(user, old, &[]);
-        self.repair_scratch();
-        self.repair_placement();
-    }
-
-    fn apply_move(&mut self, user: UserId, dx: f64, dy: f64) {
-        if !self.active[user.index()] {
-            return;
-        }
-        self.metrics.moves += 1;
-        let old_decision = self.allocation.decision(user);
-        let mut old_cover = std::mem::take(&mut self.cover_scratch);
-        old_cover.clear();
-        old_cover.extend_from_slice(self.problem.scenario.coverage.servers_of(user));
-
-        // Mutate the scenario in place: position, then the O(N)-per-user
-        // coverage and gain refresh hooks.
-        let j = user.index();
-        let moved = {
-            let scenario = &mut self.problem.scenario;
-            let p = scenario.users[j].position;
-            scenario.users[j].position = scenario.area.clamp(Point::new(p.x + dx, p.y + dy));
-            scenario.coverage.update_user(&scenario.servers, &scenario.users[j]);
-            scenario.users[j].position
-        };
-        debug_assert!(self.problem.scenario.area.contains(moved));
-        self.refresh_gains(user, moved);
-
-        // Constraint (1): a decision whose server no longer covers the user
-        // is infeasible and must be released before the field is rebuilt.
-        if let Some((server, _)) = old_decision {
-            if !self.problem.scenario.coverage.covers(server, user) {
-                self.allocation.set(user, None);
-            }
-        }
-
-        self.dirty_set(user, old_decision, &old_cover);
-        old_cover.clear();
-        self.cover_scratch = old_cover;
-        self.repair_scratch();
-        // The mover's serving server may have changed, which shifts the
-        // demand geometry Phase #2 optimises for.
-        if self.allocation.server_of(user) != old_decision.map(|(s, _)| s) {
-            self.repair_placement();
-        }
     }
 
     fn apply_request(&mut self, user: UserId, data: DataId) {
@@ -958,7 +848,7 @@ impl Engine {
 
         // Equilibrium repair over the displaced users and the surviving
         // neighbourhood, then re-replication of what was lost.
-        self.neighbourhood_dirty_set(&affected, &[]);
+        self.neighbourhood_dirty_set(&affected, &[], true);
         self.repair_scratch();
         self.refresh_placement_after_fault();
     }
@@ -987,7 +877,7 @@ impl Engine {
         // Everyone the jammed server covers sees a different Eq. 2/Eq. 12
         // trade-off now; let them re-evaluate.
         let affected: Vec<UserId> = self.problem.scenario.coverage.users_of(server).to_vec();
-        self.neighbourhood_dirty_set(&affected, &[]);
+        self.neighbourhood_dirty_set(&affected, &[], true);
         self.repair_scratch();
     }
 
@@ -998,17 +888,20 @@ impl Engine {
         self.problem.radio.set_jamming(server, 0.0);
         self.metrics.restorations += 1;
         let affected: Vec<UserId> = self.problem.scenario.coverage.users_of(server).to_vec();
-        self.neighbourhood_dirty_set(&affected, &[]);
+        self.neighbourhood_dirty_set(&affected, &[], true);
         self.repair_scratch();
     }
 
-    /// The dirty set of a server-scoped fault or a batch flush: the active
+    /// The dirty set of a commit or a server-scoped fault: the active
     /// `users` plus every active user allocated to, or covered by, a server
     /// in the neighbourhood — `servers` and the servers covering any of
-    /// `users`. The same neighbourhood notion as [`Engine::dirty_set`],
-    /// widened from one mover to a user set. Fills
-    /// [`Engine::dirty_scratch`] (sorted ascending, deduped) in place.
-    fn neighbourhood_dirty_set(&mut self, users: &[UserId], servers: &[ServerId]) {
+    /// `users`. Every co-channel sharer of a vacated slot is allocated to,
+    /// or covered by, that slot's server, so it is in range. With `idle`
+    /// off, active users that hold no channel join only when listed in
+    /// `users` (see [`Engine::flush_pending`]). Fills
+    /// [`Engine::dirty_scratch`] (sorted ascending, deduped) in place, so
+    /// restricted repair is deterministic and allocates nothing per event.
+    fn neighbourhood_dirty_set(&mut self, users: &[UserId], servers: &[ServerId], idle: bool) {
         let coverage = &self.problem.scenario.coverage;
         let near = &mut self.near_scratch;
         near.clear();
@@ -1023,61 +916,14 @@ impl Engine {
         dirty.clear();
         dirty.extend(users.iter().copied().filter(|u| self.active[u.index()]));
         for (other, decision) in self.allocation.iter() {
-            if !self.active[other.index()] {
+            if !self.active[other.index()] || (decision.is_none() && !idle) {
                 continue;
             }
-            let allocated_near = decision.is_some_and(|(s, _)| near.binary_search(&s).is_ok());
-            let covered_near =
-                coverage.servers_of(other).iter().any(|s| near.binary_search(s).is_ok());
-            if allocated_near || covered_near {
-                dirty.push(other);
-            }
-        }
-        dirty.sort_unstable();
-        dirty.dedup();
-    }
-
-    /// The dirty set of a churn event concerning `user`: the user itself (if
-    /// active) and every active allocated user within cross-interference
-    /// range of the affected neighbourhood (the servers covering the user —
-    /// before the move, via `extra_servers`, and after — plus the server of
-    /// its vacated slot `old`). Every co-channel sharer of the vacated slot
-    /// is allocated to, or covered by, `old`'s server, so it is in range.
-    /// Fills [`Engine::dirty_scratch`] (sorted ascending, deduped) in place,
-    /// so restricted repair is deterministic and the hot path stops
-    /// allocating a fresh `Vec` per event.
-    fn dirty_set(
-        &mut self,
-        user: UserId,
-        old: Option<(ServerId, ChannelIndex)>,
-        extra_servers: &[ServerId],
-    ) {
-        let coverage = &self.problem.scenario.coverage;
-        let near = &mut self.near_scratch;
-        near.clear();
-        near.extend_from_slice(coverage.servers_of(user));
-        near.extend_from_slice(extra_servers);
-        if let Some((server, _)) = old {
-            near.push(server);
-        }
-        near.sort_unstable();
-        near.dedup();
-
-        let dirty = &mut self.dirty_scratch;
-        dirty.clear();
-        if self.active[user.index()] {
-            dirty.push(user);
-        }
-        for (other, decision) in self.allocation.iter() {
-            if other == user || !self.active[other.index()] {
-                continue;
-            }
-            let Some((server, _)) = decision else { continue };
-            // Cross-interference range of the mover's neighbourhood: users
-            // allocated to, or covered by, a server that covers the mover.
-            let in_range = near.binary_search(&server).is_ok()
-                || coverage.servers_of(other).iter().any(|s| near.binary_search(s).is_ok());
-            if in_range {
+            // Cross-interference range: allocated to, or covered by, a
+            // server in the neighbourhood.
+            if decision.is_some_and(|(s, _)| near.binary_search(&s).is_ok())
+                || coverage.servers_of(other).iter().any(|s| near.binary_search(s).is_ok())
+            {
                 dirty.push(other);
             }
         }
@@ -1633,16 +1479,17 @@ mod tests {
         assert_eq!(e.metrics().link_faults, 2);
     }
 
-    /// Satellite audit of `apply_move`'s out-of-coverage release: the move
-    /// handler clears the infeasible decision via `allocation.set(user,
-    /// None)` *without* an explicit field deallocation — which is sound
-    /// because `repair` always rebuilds the interference field from the
-    /// allocation (no field persists between events), the same discipline
-    /// `apply_depart` relies on. This regression test pins that soundness:
-    /// a user flung outside every coverage disc ends up unallocated, the
-    /// induced field passes `consistency_check`, and the full Auditor
-    /// (including the Eq. 2–4 reference SINR, which also exercises the
-    /// restricted gain refresh) stays clean.
+    /// Satellite audit of the move commit's out-of-coverage release:
+    /// `set_position` clears the infeasible decision via
+    /// `allocation.set(user, None)` *without* an explicit field
+    /// deallocation — which is sound because `repair` always rebuilds the
+    /// interference field from the allocation (no field persists between
+    /// events), the same discipline departure ingest relies on. This
+    /// regression test pins that soundness: a user flung outside every
+    /// coverage disc ends up unallocated, the induced field passes
+    /// `consistency_check`, and the full Auditor (including the Eq. 2–4
+    /// reference SINR, which also exercises the restricted gain refresh)
+    /// stays clean.
     #[test]
     fn move_out_of_all_coverage_releases_the_allocation_cleanly() {
         use idde_model::{MegaBytes, MegaBytesPerSec, Rect, ScenarioBuilder, Watts};
@@ -1757,7 +1604,8 @@ mod tests {
     /// Satellite regression for the dirty-set scratch hoist: the reusable
     /// scratch must produce exactly the same sorted, deduped repair order
     /// as a fresh computation — reuse may never leak stale entries from a
-    /// previous event into the next repair's player set.
+    /// previous event into the next repair's player set — with the idle
+    /// predicate both on (group commits, faults) and off (commits of one).
     #[test]
     fn dirty_scratch_reuse_keeps_repair_order_identical() {
         let mut e = engine(16);
@@ -1767,66 +1615,25 @@ mod tests {
         e.apply(&Event::Depart { user });
         e.apply(&Event::Arrive { user });
 
-        let old = e.allocation.decision(user);
-        e.dirty_set(user, old, &[]);
-        let primed = e.dirty_scratch.clone();
-        assert!(
-            primed.windows(2).all(|w| w[0] < w[1]),
-            "repair order must stay sorted and deduped"
-        );
-        // Same computation through virgin scratch buffers.
-        let mut fresh = e.clone();
-        fresh.dirty_scratch = Vec::new();
-        fresh.near_scratch = Vec::new();
-        fresh.dirty_set(user, old, &[]);
-        assert_eq!(primed, fresh.dirty_scratch, "scratch reuse changed the repair order");
-        // And idempotent: refilling the already-used scratch is stable.
-        e.dirty_set(user, old, &[]);
-        assert_eq!(primed, e.dirty_scratch);
-
-        // The neighbourhood variant honours the same contract.
+        let servers: Vec<ServerId> = e.allocation.server_of(user).into_iter().collect();
         let affected = e.active_users();
-        e.neighbourhood_dirty_set(&affected, &[]);
-        let primed = e.dirty_scratch.clone();
-        fresh.dirty_scratch = Vec::new();
-        fresh.near_scratch = Vec::new();
-        fresh.neighbourhood_dirty_set(&affected, &[]);
-        assert_eq!(primed, fresh.dirty_scratch);
-        assert!(primed.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    /// `apply_batch` at `batch == 1` *is* the classic per-event loop: a
-    /// scripted churn flood produces a byte-identical metrics CSV.
-    #[test]
-    fn batch_one_replays_the_per_event_path_byte_for_byte() {
-        use rand::Rng;
-        let mut a = engine(17);
-        let mut b = a.clone();
-        let mut rng = ChaCha8Rng::seed_from_u64(99);
-        let m = a.active().len();
-        for tick in 0..6 {
-            let events: Vec<Event> = (0..25)
-                .map(|_| {
-                    let user = UserId(rng.gen_range(0..m as u32));
-                    match rng.gen_range(0..10) {
-                        0..=5 => Event::Move {
-                            user,
-                            dx: rng.gen_range(-200.0..200.0),
-                            dy: rng.gen_range(-200.0..200.0),
-                        },
-                        6..=7 => Event::Depart { user },
-                        _ => Event::Arrive { user },
-                    }
-                })
-                .collect();
-            for event in &events {
-                a.apply(event);
-            }
-            a.end_tick(tick);
-            b.apply_batch(&events);
-            b.end_tick(tick);
+        for (users, idle) in [(&[user][..], false), (&[user][..], true), (&affected[..], true)] {
+            e.neighbourhood_dirty_set(users, &servers, idle);
+            let primed = e.dirty_scratch.clone();
+            assert!(
+                primed.windows(2).all(|w| w[0] < w[1]),
+                "repair order must stay sorted and deduped"
+            );
+            // Same computation through virgin scratch buffers.
+            let mut fresh = e.clone();
+            fresh.dirty_scratch = Vec::new();
+            fresh.near_scratch = Vec::new();
+            fresh.neighbourhood_dirty_set(users, &servers, idle);
+            assert_eq!(primed, fresh.dirty_scratch, "scratch reuse changed the repair order");
+            // And idempotent: refilling the already-used scratch is stable.
+            e.neighbourhood_dirty_set(users, &servers, idle);
+            assert_eq!(primed, e.dirty_scratch);
         }
-        assert_eq!(a.metrics().to_csv(), b.metrics().to_csv());
     }
 
     /// The batched ingestion determinism contract at `batch > 1`: positions

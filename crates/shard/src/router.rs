@@ -249,10 +249,9 @@ impl ShardRouter {
                 },
             }
         }
-        // Each shard drains its interior batch through the engine's batched
-        // ingestion layer: at `batch == 1` this is the classic per-event
-        // loop; at larger sizes same-shard churn group-commits, and the
-        // slice-end flush guarantees Phase B reads fully committed state.
+        // Each shard commits its interior batch in groups of `batch` churn
+        // events (each event on its own at `batch == 1`); the slice-end
+        // flush guarantees Phase B reads fully committed state.
         let batches = &batches;
         idde_par::par_for_each_mut(&mut self.engines, |i, e| {
             e.engine_mut().apply_batch(&batches[i]);

@@ -133,3 +133,87 @@ fn fig1_and_table2_artifacts_are_deterministic() {
     let sets_b = idde::sim::table2_sets();
     assert_eq!(sets_a, sets_b);
 }
+
+/// FNV-1a over a byte stream.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Pins the serve output of the engine's ingestion path: the FNV digest of
+/// the metrics CSV plus the bit patterns of the average latency and rate,
+/// for a plain per-event serve, a faulted per-event serve, a faulted group
+/// commit of 16 and a faulted 3-shard group commit of 8 with LCE caching
+/// and Steiner distribution. The digests were recorded before per-event
+/// serving became a commit of one; repairing channel-less neighbours in
+/// every commit, or in none, moves at least one of them.
+#[test]
+fn engine_serves_match_their_pinned_digests() {
+    use idde::dist::{DistConfig, StrategyKind};
+    let serve = |batch: u64, chaos: Option<&str>, shards: Option<usize>| {
+        let mut rng = idde::seeded_rng(31);
+        let scenario = SyntheticEua::default().sample(20, 100, 4, &mut rng);
+        let problem = Problem::standard(scenario, &mut rng);
+        let mut workload = WorkloadGenerator::new(WorkloadConfig::default(), 4, 31);
+        let initial = workload.initial_active(problem.scenario.num_users());
+        let mut plan = chaos.map(|spec| {
+            FaultSpec::parse(spec).and_then(|s| s.compile(problem.topology.graph())).unwrap()
+        });
+        let mut config = EngineConfig { batch, checkpoint_interval: 20, ..Default::default() };
+        let metrics = match shards {
+            None => {
+                let mut engine = Engine::new(problem, config, initial);
+                match plan.as_mut() {
+                    Some(plan) => engine.run_sources(&mut [plan, &mut workload], 60),
+                    None => engine.run(&mut workload, 60),
+                }
+                engine.metrics().clone()
+            }
+            Some(k) => {
+                config.cache = CacheConfig { policy: PolicyKind::Lce, ..CacheConfig::default() };
+                config.dist = DistConfig {
+                    strategy: StrategyKind::Steiner,
+                    record: true,
+                    ..Default::default()
+                };
+                let mut router = ShardRouter::new(problem, config, k, initial).unwrap();
+                let plan = plan.as_mut().expect("the sharded case is faulted");
+                router.run_sources(&mut [plan, &mut workload], 60);
+                router.metrics()
+            }
+        };
+        let faults = metrics.link_faults + metrics.server_outages + metrics.jam_events;
+        assert_eq!(faults > 0, chaos.is_some(), "the fault plan must fire, and only when given");
+        (
+            fnv1a(metrics.to_csv().as_bytes()),
+            metrics.average_latency_ms().to_bits(),
+            metrics.average_rate().to_bits(),
+        )
+    };
+    let cases = [
+        (
+            "plain, B = 1",
+            serve(1, None, None),
+            (0x9f04_12a3_cdee_9fbc, 0x402e_7a2e_6b0b_11be, 0x4064_d732_5b13_cd70),
+        ),
+        (
+            "chaos, B = 1",
+            serve(1, Some("rand:5:2:2:1@10+25"), None),
+            (0x1dd1_bd56_48c2_d64b, 0x4032_cc7b_1eb3_70bd, 0x4064_9de1_2b17_13f4),
+        ),
+        (
+            "chaos, B = 16",
+            serve(16, Some("rand:6:3:2:2@10+25"), None),
+            (0xe563_93d0_4759_a598, 0x4039_654a_6d31_3097, 0x4063_aa4e_95bb_2bb0),
+        ),
+        (
+            "3 shards, chaos, B = 8",
+            serve(8, Some("rand:7:3:2:2@10+25"), Some(3)),
+            (0xc6b5_db80_613d_e400, 0x403d_e646_3243_ecc5, 0x4062_c24c_985d_f7d5),
+        ),
+    ];
+    for (name, got, pinned) in cases {
+        assert_eq!(got, pinned, "{name}: serve output moved (got {got:#018x?})");
+    }
+}
